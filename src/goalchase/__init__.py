@@ -31,8 +31,6 @@ from .expr import (
     Identity,
     Index,
     IndexSequence,
-    eval_expr,
-    grad_expr,
     node_count,
     parse_sequence,
     seq_from_text,

@@ -90,11 +90,11 @@ class BridgeFamily:
             raise ValueError(f"unknown slot keys {sorted(extra)}")
         fam = cls(
             kind=obj.get("kind", ""),
-            m=int(obj.get("m", 0)),
-            hidden=int(obj.get("hidden", 0)),
-            pad=int(obj.get("pad", 0)),
+            m=obj.get("m", 0),
+            hidden=obj.get("hidden", 0),
+            pad=obj.get("pad", 0),
         )
-        if "arity" in obj and int(obj["arity"]) != fam.arity:
+        if "arity" in obj and obj["arity"] != fam.arity:
             raise ValueError(
                 f"arity {obj['arity']} inconsistent with kind {fam.kind!r}"
             )

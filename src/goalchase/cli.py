@@ -129,9 +129,16 @@ def _read_records(path: Path) -> list:
     except OSError as e:
         raise ConfigError(str(path), f"cannot read trajectory: {e}") from e
     out = []
-    for ln in lines:
-        if ln.strip():
-            out.append(json.loads(ln))
+    for n, ln in enumerate(lines, 1):
+        if not ln.strip():
+            continue
+        try:
+            rec = json.loads(ln)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{path}:{n}", f"invalid JSON: {e.msg}") from e
+        if not isinstance(rec, dict) or not {"t", "T", "pairs"} <= rec.keys():
+            raise ConfigError(f"{path}:{n}", "record needs keys t, T and pairs")
+        out.append(rec)
     return out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .bridge import BridgeFamily
 from .expr import EquationPairList, GrammarError, parse_sequence, seq_to_text
 from .goallaw import GRAMMAR_WALK, IDENTITY_LAW, LAW_KINDS, SCHEDULE, LawSpec
-from .prng import rng_from_words, rng_to_words
+from .prng import rng_to_words
 
 FIXED_SET = "fixed_set"
 RESAMPLE = "resample"
@@ -83,11 +83,6 @@ class SlotState:
             self.probe.copy(),
             self.probe_cursor,
         )
-
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(s)) for s in self.slots) and all(
-            np.all(np.isfinite(v)) for v in self.momentum
-        ) and bool(np.all(np.isfinite(self.probe)))
 
 
 # --- configuration ---------------------------------------------------------
@@ -274,6 +269,10 @@ def config_from_json(obj: dict) -> ScenarioConfig:
     for i, spec in enumerate(slots_obj):
         if not isinstance(spec, dict):
             raise ConfigError(f"slots[{i}]", f"expected an object, got {spec!r}")
+        _require_int(spec, "m", path=f"slots[{i}].m")
+        for key in ("hidden", "pad", "arity"):
+            if key in spec:
+                _require_int(spec, key, path=f"slots[{i}].{key}")
         try:
             fam = BridgeFamily.from_json(spec)
         except (TypeError, ValueError) as e:
@@ -354,13 +353,9 @@ def init_state(config: ScenarioConfig) -> SlotState:
     momentum = [np.zeros_like(s) for s in slots]
     if config.probe_mode == FIXED_SET:
         probe = config.probes[0].copy()
-        cursor = 0
-        words = rng_to_words(gen)
     else:
         probe = gen.uniform(-1.0, 1.0, size=config.m)
-        cursor = 0
-        words = rng_to_words(gen)
-    return SlotState(slots, momentum, words, probe, cursor)
+    return SlotState(slots, momentum, rng_to_words(gen), probe)
 
 
 # --- records ----------------------------------------------------------------

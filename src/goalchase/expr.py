@@ -33,8 +33,7 @@ __all__ = [
     "seq_from_text",
     "seq_to_text",
     "parse_sequence",
-    "eval_expr",
-    "grad_expr",
+    "vjp_expr",
     "node_count",
 ]
 
@@ -241,56 +240,45 @@ def parse_sequence(seq: IndexSequence, arities) -> object:
 # --- evaluation and gradients ----------------------------------------------
 
 
-def eval_expr(tree, families, slots, d, *, counter=None) -> np.ndarray:
-    """Evaluate a tree at probe `d` given per-slot families and parameters.
+def vjp_expr(tree, families, slots, d):
+    """Evaluate a tree at probe `d`; return (value, pullback).
 
     Reads nothing beyond (tree, families, slots, d).  Inside a Compose the
     inner value becomes the probe seen by the outer subtree, so closed
     arguments of a mid-chain factor consume the value flowing in from the
-    right.  `counter`, when given, is a one-element list incremented once
-    per visited node.
+    right.  `pullback(cot, grads)` adds the per-slot gradients of
+    `cot . value` into the list `grads` (repeated occurrences of a slot
+    accumulate) and returns the gradient with respect to `d`.  It reuses
+    the values kept by this forward walk, so no subtree is evaluated twice.
     """
-    if counter is not None:
-        counter[0] += 1
+    d = np.asarray(d, dtype=float)
     if isinstance(tree, Identity):
-        return np.asarray(d, dtype=float)
+        return d, _identity_pullback
     if isinstance(tree, Apply):
-        args = [
-            eval_expr(c, families, slots, d, counter=counter)
-            for c in tree.children
-        ]
-        return eval_bridge(families[tree.slot], slots[tree.slot], args)
-    inner = eval_expr(tree.inner, families, slots, d, counter=counter)
-    return eval_expr(tree.outer, families, slots, inner, counter=counter)
+        children = [vjp_expr(c, families, slots, d) for c in tree.children]
+        args = [value for value, _ in children]
+        family, params = families[tree.slot], slots[tree.slot]
+
+        def apply_pullback(cot, grads):
+            gp, gargs = grad_bridge(family, params, args, cot)
+            grads[tree.slot] += gp
+            dd = np.zeros_like(d)
+            for (_, back), ga in zip(children, gargs):
+                dd += back(ga, grads)
+            return dd
+
+        return eval_bridge(family, params, args), apply_pullback
+    inner, back_inner = vjp_expr(tree.inner, families, slots, d)
+    value, back_outer = vjp_expr(tree.outer, families, slots, inner)
+
+    def compose_pullback(cot, grads):
+        return back_inner(back_outer(cot, grads), grads)
+
+    return value, compose_pullback
 
 
-def grad_expr(tree, families, slots, d, cotangent) -> list[np.ndarray]:
-    """Per-slot gradients of `cotangent . eval_expr` as a list over slots.
-
-    Repeated occurrences of a slot accumulate; slots absent from the tree
-    get exact zeros.
-    """
-    grads = [np.zeros_like(np.asarray(s, dtype=float)) for s in slots]
-    _vjp(tree, families, slots, np.asarray(d, dtype=float),
-         np.asarray(cotangent, dtype=float), grads)
-    return grads
-
-
-def _vjp(tree, families, slots, d, cot, grads) -> np.ndarray:
-    # returns gradient with respect to the incoming value d
-    if isinstance(tree, Identity):
-        return cot
-    if isinstance(tree, Apply):
-        args = [eval_expr(c, families, slots, d) for c in tree.children]
-        gp, gargs = grad_bridge(families[tree.slot], slots[tree.slot], args, cot)
-        grads[tree.slot] += gp
-        dd = np.zeros_like(d)
-        for child, ga in zip(tree.children, gargs):
-            dd += _vjp(child, families, slots, d, ga, grads)
-        return dd
-    inner_val = eval_expr(tree.inner, families, slots, d)
-    d_inner = _vjp(tree.outer, families, slots, inner_val, cot, grads)
-    return _vjp(tree.inner, families, slots, d, d_inner, grads)
+def _identity_pullback(cot, grads):
+    return cot
 
 
 def node_count(tree) -> int:

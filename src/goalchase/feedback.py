@@ -14,8 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import FIXED_SET, RESAMPLE, DivergenceError, SlotState
-from .expr import EquationPairList, eval_expr
-from .expr import _vjp as _expr_vjp
+from .expr import EquationPairList, vjp_expr
 from .prng import rng_from_words, rng_to_words
 
 __all__ = [
@@ -38,25 +37,24 @@ def compile_pairs(cpair: EquationPairList, families) -> list:
     return list(_compile_cached(cpair, arities))
 
 
+def _residuals(cpair: EquationPairList, families, slots, d):
+    """Yield (er_k(d), left pullback, right pullback) for every goal pair."""
+    for tl, tr in compile_pairs(cpair, families):
+        left, back_left = vjp_expr(tl, families, slots, d)
+        right, back_right = vjp_expr(tr, families, slots, d)
+        yield left - right, back_left, back_right
+
+
 def feedback_error(cpair: EquationPairList, families, slots, d) -> list:
     """Residual vectors [left_k(d) - right_k(d)] for every goal pair."""
-    out = []
-    for tl, tr in compile_pairs(cpair, families):
-        out.append(
-            eval_expr(tl, families, slots, d) - eval_expr(tr, families, slots, d)
-        )
-    return out
+    return [er for er, _, _ in _residuals(cpair, families, slots, d)]
 
 
 def loss(cpair: EquationPairList, families, slots, probes) -> float:
     """Mean over probes of the summed squared residual norms."""
-    trees = compile_pairs(cpair, families)
     total = 0.0
     for d in probes:
-        for tl, tr in trees:
-            er = eval_expr(tl, families, slots, d) - eval_expr(
-                tr, families, slots, d
-            )
+        for er, _, _ in _residuals(cpair, families, slots, d):
             total += float(er @ er)
     return total / len(probes)
 
@@ -67,18 +65,13 @@ def loss_gradients(cpair: EquationPairList, families, slots, probes) -> list:
     The cotangent seeded into each side is 2 er_k(d) / |probes|, positive
     for the left tree and negative for the right.
     """
-    trees = compile_pairs(cpair, families)
     grads = [np.zeros_like(np.asarray(s, dtype=float)) for s in slots]
     scale = 2.0 / len(probes)
     for d in probes:
-        d = np.asarray(d, dtype=float)
-        for tl, tr in trees:
-            er = eval_expr(tl, families, slots, d) - eval_expr(
-                tr, families, slots, d
-            )
+        for er, back_left, back_right in _residuals(cpair, families, slots, d):
             cot = scale * er
-            _expr_vjp(tl, families, slots, d, cot, grads)
-            _expr_vjp(tr, families, slots, d, -cot, grads)
+            back_left(cot, grads)
+            back_right(-cot, grads)
     return grads
 
 

@@ -42,7 +42,8 @@ def rng_from_words(words: np.ndarray) -> np.random.Generator:
     if words.shape != (WORD_COUNT,):
         raise ValueError(f"expected {WORD_COUNT} state words, got {words.shape}")
     w = [int(x) for x in words]
-    bg = np.random.PCG64()
+    # a constant seed skips drawing OS entropy; the state is replaced below
+    bg = np.random.PCG64(0)
     bg.state = {
         "bit_generator": "PCG64",
         "state": {"state": (w[0] << 64) | w[1], "inc": (w[2] << 64) | w[3]},

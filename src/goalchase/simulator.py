@@ -81,7 +81,7 @@ def make_record(sim: SimState, macro: bool = False) -> TrajectoryRecord:
     probes = cfg.probes if cfg.probe_mode == FIXED_SET else [sim.sub.probe]
     with np.errstate(over="ignore", invalid="ignore"):
         val = loss(sim.law.cpair, cfg.slot_specs, sim.sub.slots, probes)
-    norms = [float(np.linalg.norm(s)) for s in sim.sub.slots]
+        norms = [float(np.linalg.norm(s)) for s in sim.sub.slots]
     if not np.isfinite(val) or not all(np.isfinite(n) for n in norms):
         raise DivergenceError(
             f"non-finite loss or slot norm at step {sim.t}", step=sim.t

@@ -181,6 +181,23 @@ def test_compare_flags_length_mismatch(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("bad_line", ["not json", '{"t": 1, "T": 0}', "[1, 2]"])
+def test_compare_rejects_malformed_record(tmp_path, capsys, bad_line):
+    cfg = write_config(tmp_path, commute_obj(steps=5))
+    a, b = tmp_path / "a", tmp_path / "b"
+    main(["run", "--config", cfg, "--out", str(a)])
+    main(["run", "--config", cfg, "--out", str(b)])
+    path = b / "trajectory.jsonl"
+    lines = path.read_text().splitlines()
+    lines[2] = bad_line
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["compare", str(a), str(b)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:3" in err
+    assert "Traceback" not in err
+
+
 def test_witness_end_to_end(tmp_path, capsys):
     cfg = write_config(tmp_path, goal_switch_obj(steps=300, K=100))
     out = tmp_path / "wit"

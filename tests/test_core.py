@@ -118,6 +118,15 @@ def test_slot_spec_errors_name_the_slot():
     obj = commute_obj()
     obj["slots"] = []
     assert err(obj).key == "slots"
+    # integer fields are never coerced: "2", 2.9 and true are all rejected
+    bad = [("m", "2"), ("m", 2.9), ("pad", True), ("hidden", 1.5), ("arity", "1")]
+    for key, val in bad:
+        obj = commute_obj()
+        obj["slots"][1][key] = val
+        assert err(obj).key == f"slots[1].{key}"
+    obj = commute_obj()
+    del obj["slots"][0]["m"]
+    assert err(obj).key == "slots[0].m"
 
 
 def test_probe_errors():
@@ -251,14 +260,6 @@ def test_state_copy_is_deep():
     assert state.slots[0][0] != dup.slots[0][0]
     assert state.probe[0] != dup.probe[0]
     assert state.rng_words[0] != dup.rng_words[0]
-
-
-def test_all_finite_flags_bad_entries():
-    config = config_from_json(commute_obj())
-    state = init_state(config)
-    assert state.all_finite()
-    state.slots[1][2] = np.inf
-    assert not state.all_finite()
 
 
 # --- trajectory records ----------------------------------------------------------

@@ -13,12 +13,11 @@ from goalchase.expr import (
     Identity,
     Index,
     IndexSequence,
-    eval_expr,
-    grad_expr,
     node_count,
     parse_sequence,
     seq_from_text,
     seq_to_text,
+    vjp_expr,
 )
 
 UNARY3 = (1, 1, 1)
@@ -137,17 +136,27 @@ def _oracle_slots():
     return families, slots
 
 
+def value(tree, families, slots, d):
+    return vjp_expr(tree, families, slots, d)[0]
+
+
+def slot_grads(tree, families, slots, d, cot):
+    grads = [np.zeros_like(s) for s in slots]
+    vjp_expr(tree, families, slots, d)[1](np.asarray(cot, dtype=float), grads)
+    return grads
+
+
 def test_eval_chain_hand_value():
     families, slots = _oracle_slots()
     tree = parse_sequence(seq_from_text("[1,2]"), MIXED3)
-    out = eval_expr(tree, families, slots, np.array([1.0, 2.0]))
+    out = value(tree, families, slots, np.array([1.0, 2.0]))
     assert np.array_equal(out, np.array([-2.0, 1.0]))
 
 
 def test_eval_binary_hand_value():
     families, slots = _oracle_slots()
     tree = parse_sequence(seq_from_text("[0,(1,2)]"), MIXED3)
-    out = eval_expr(tree, families, slots, np.array([1.0, 2.0]))
+    out = value(tree, families, slots, np.array([1.0, 2.0]))
     assert np.array_equal(out, np.array([3.0, -1.0]))
 
 
@@ -155,7 +164,7 @@ def test_eval_identity_returns_probe():
     families, slots = _oracle_slots()
     tree = parse_sequence(seq_from_text("[]"), MIXED3)
     d = np.array([0.25, -4.0])
-    assert np.array_equal(eval_expr(tree, families, slots, d), d)
+    assert np.array_equal(value(tree, families, slots, d), d)
 
 
 def test_compose_rebinds_probe_for_closed_arguments():
@@ -163,19 +172,19 @@ def test_compose_rebinds_probe_for_closed_arguments():
     families, slots = _oracle_slots()
     tree = parse_sequence(seq_from_text("[0,(1,2),2]"), MIXED3)
     d = np.array([1.0, 2.0])
-    inner = eval_expr(
+    inner = value(
         parse_sequence(seq_from_text("[2]"), MIXED3), families, slots, d
     )
-    direct = eval_expr(
+    direct = value(
         parse_sequence(seq_from_text("[0,(1,2)]"), MIXED3),
         families,
         slots,
         inner,
     )
-    assert np.array_equal(eval_expr(tree, families, slots, d), direct)
+    assert np.array_equal(value(tree, families, slots, d), direct)
     assert not np.array_equal(
-        eval_expr(tree, families, slots, d),
-        eval_expr(
+        value(tree, families, slots, d),
+        value(
             parse_sequence(seq_from_text("[0,(1,2)]"), MIXED3),
             families,
             slots,
@@ -184,13 +193,13 @@ def test_compose_rebinds_probe_for_closed_arguments():
     )
 
 
-def test_node_counter_counts_each_visit():
-    families, slots = _oracle_slots()
-    for text in ["[]", "[1]", "[1,2]", "[0,(1,2)]", "[0,([1,2],[]),1]"]:
+def test_node_count_hand_values():
+    # Identity 1; Apply 1 + children; Compose 1 + outer + inner
+    expected = {"[]": 1, "[1]": 2, "[1,2]": 5, "[0,(1,2)]": 5,
+                "[0,([1,2],[]),1]": 10}
+    for text, count in expected.items():
         tree = parse_sequence(seq_from_text(text), MIXED3)
-        counter = [0]
-        eval_expr(tree, families, slots, np.zeros(2), counter=counter)
-        assert counter[0] == node_count(tree)
+        assert node_count(tree) == count
 
 
 def test_grad_single_slot_matches_fd():
@@ -200,7 +209,7 @@ def test_grad_single_slot_matches_fd():
     tree = parse_sequence(seq_from_text("[0,(1,2),1]"), MIXED3)
     d = gen.uniform(-1, 1, 2)
     cot = gen.uniform(-1, 1, 2)
-    grads = grad_expr(tree, families, slots, d, cot)
+    grads = slot_grads(tree, families, slots, d, cot)
     h = 1e-6
     for si in range(3):
         for j in range(len(slots[si])):
@@ -209,8 +218,8 @@ def test_grad_single_slot_matches_fd():
             hi[si][j] += h
             lo[si][j] -= h
             fd = (
-                cot @ eval_expr(tree, families, hi, d)
-                - cot @ eval_expr(tree, families, lo, d)
+                cot @ value(tree, families, hi, d)
+                - cot @ value(tree, families, lo, d)
             ) / (2 * h)
             assert abs(grads[si][j] - fd) < 1e-6 * max(1.0, abs(fd))
 
@@ -222,7 +231,7 @@ def test_grad_repeated_slot_accumulates():
     tree = parse_sequence(seq_from_text("[1,1]"), MIXED3)
     d = gen.uniform(-1, 1, 2)
     cot = gen.uniform(-1, 1, 2)
-    grads = grad_expr(tree, families, slots, d, cot)
+    grads = slot_grads(tree, families, slots, d, cot)
     h = 1e-6
     for j in range(6):
         hi = [s.copy() for s in slots]
@@ -230,8 +239,8 @@ def test_grad_repeated_slot_accumulates():
         hi[1][j] += h
         lo[1][j] -= h
         fd = (
-            cot @ eval_expr(tree, families, hi, d)
-            - cot @ eval_expr(tree, families, lo, d)
+            cot @ value(tree, families, hi, d)
+            - cot @ value(tree, families, lo, d)
         ) / (2 * h)
         assert abs(grads[1][j] - fd) < 1e-6 * max(1.0, abs(fd))
 
@@ -239,7 +248,7 @@ def test_grad_repeated_slot_accumulates():
 def test_grad_absent_slot_is_exact_zero():
     families, slots = _oracle_slots()
     tree = parse_sequence(seq_from_text("[1,2]"), MIXED3)
-    grads = grad_expr(tree, families, slots, np.ones(2), np.ones(2))
+    grads = slot_grads(tree, families, slots, np.ones(2), np.ones(2))
     assert np.array_equal(grads[0], np.zeros_like(slots[0]))
 
 
@@ -249,8 +258,8 @@ def test_eval_does_not_touch_global_rng():
     np.random.seed(1234)
     before = np.random.rand(3)
     np.random.seed(1234)
-    eval_expr(tree, families, slots, np.ones(2))
-    grad_expr(tree, families, slots, np.ones(2), np.ones(2))
+    value(tree, families, slots, np.ones(2))
+    slot_grads(tree, families, slots, np.ones(2), np.ones(2))
     assert np.array_equal(np.random.rand(3), before)
 
 
@@ -259,8 +268,8 @@ def test_eval_leaves_inputs_unchanged():
     tree = parse_sequence(seq_from_text("[0,(1,2),1]"), MIXED3)
     frozen = [s.copy() for s in slots]
     d = np.array([1.0, 2.0])
-    eval_expr(tree, families, slots, d)
-    grad_expr(tree, families, slots, d, np.ones(2))
+    value(tree, families, slots, d)
+    slot_grads(tree, families, slots, d, np.ones(2))
     assert np.array_equal(d, np.array([1.0, 2.0]))
     for a, b in zip(slots, frozen):
         assert np.array_equal(a, b)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from goalchase import expr
 from goalchase.bridge import AFFINE1, AFFINE2, BridgeFamily
 from goalchase.core import DivergenceError, config_from_json, init_state
-from goalchase.expr import ArityError, EquationPairList
+from goalchase.expr import Apply, ArityError, Compose, EquationPairList
 from goalchase.feedback import (
     compile_pairs,
     control_step,
@@ -123,6 +124,35 @@ def _control_setup():
     state = init_state(config)
     cpair = config.law.pairs
     return config, state, cpair
+
+
+def _apply_nodes(tree):
+    if isinstance(tree, Apply):
+        return 1 + sum(_apply_nodes(c) for c in tree.children)
+    if isinstance(tree, Compose):
+        return _apply_nodes(tree.outer) + _apply_nodes(tree.inner)
+    return 0
+
+
+def test_loss_gradients_call_each_bridge_once_per_apply_node(monkeypatch):
+    calls = {"eval": 0, "grad": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(expr, "eval_bridge", counting("eval", expr.eval_bridge))
+    monkeypatch.setattr(expr, "grad_bridge", counting("grad", expr.grad_bridge))
+    families, slots = _oracle_setup()
+    cpair = pairs_of(["[0,([1,2],[2,1]),1,2]", "[2,0,(1,[0,(2,1)])]"],
+                     ["[1,2,1]", "[]"])
+    probes = [np.array([1.0, 2.0]), np.array([-0.5, 0.25]), np.ones(2)]
+    nodes = sum(_apply_nodes(t) for pair in compile_pairs(cpair, families)
+                for t in pair)
+    loss_gradients(cpair, families, slots, probes)
+    assert calls == {"eval": nodes * len(probes), "grad": nodes * len(probes)}
 
 
 def test_control_step_zero_eta_keeps_slots():

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -200,3 +201,11 @@ def test_summary_csv_round_trip(tmp_path):
     assert int(first[0]) == records[0].t
     assert float(first[2]) == records[0].loss
     assert first[3] == pair_digest(records[0].pairs)
+
+
+def test_divergence_raises_without_numpy_warnings():
+    config = config_from_json(commute_obj(eta=50.0, steps=50))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError):
+            run(config)
