@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -18,8 +19,8 @@ import numpy as np
 
 from . import analysis, simulator
 from .bridge import MLP1H
-from .core import ConfigError, DivergenceError, config_from_json
-from .expr import GrammarError
+from .core import (ConfigError, DivergenceError, config_from_json, init_state,
+                   parse_pairs, require_int)
 from .goallaw import initial_law_state
 from .prng import new_words
 
@@ -31,21 +32,25 @@ EXIT_DIVERGENCE = 3
 __all__ = ["main"]
 
 
-def _set_path(obj: dict, assignment: str):
-    key, eq, raw = assignment.partition("=")
-    if not eq:
-        raise ConfigError(key or assignment, "expected KEY=VALUE")
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    parts = key.split(".")
-    node = obj
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            node[part] = {}
-        node = node[part]
-    node[parts[-1]] = value
+def _set_path(obj: dict, key: str, value) -> None:
+    """Set the dotted config path `key` to `value` in place.
+
+    A numeric part indexes an existing list entry; only the last part may
+    add a dict key.  Any other miss raises ConfigError naming `key`.
+    """
+    node, parts = obj, key.split(".")
+    for depth, part in enumerate(parts, 1):
+        if isinstance(node, list):
+            if not (part.isascii() and part.isdigit() and int(part) < len(node)):
+                raise ConfigError(key, f"no entry {part!r} in a list of {len(node)}")
+            part = int(part)
+        elif not isinstance(node, dict):
+            raise ConfigError(key, f"cannot index into {type(node).__name__}")
+        elif part not in node and depth < len(parts):
+            raise ConfigError(key, f"no key {part!r}")
+        if depth < len(parts):
+            node = node[part]
+    node[part] = value
 
 
 def _load_config_obj(args) -> dict:
@@ -59,11 +64,14 @@ def _load_config_obj(args) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(str(path), "config must be a JSON object")
     for assignment in args.set or []:
-        _set_path(obj, assignment)
-    if getattr(args, "seed", None) is not None:
-        obj["init_seed"] = args.seed
-    if getattr(args, "log_every", None) is not None:
-        obj["log_every"] = args.log_every
+        key, eq, raw = assignment.partition("=")
+        if not eq:
+            raise ConfigError(assignment, "expected KEY=VALUE")
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        _set_path(obj, key, value)
     return obj
 
 
@@ -94,8 +102,10 @@ def cmd_run(args) -> int:
 
 def cmd_check(args) -> int:
     config = config_from_json(_load_config_obj(args))
-    from .core import init_state
-
+    if args.samples < 1:
+        raise ConfigError("--samples", f"must be >= 1, got {args.samples}")
+    if not 0 < args.fd_step < math.inf:
+        raise ConfigError("--fd-step", f"must be finite and > 0, got {args.fd_step}")
     state = init_state(config)
     checks = [
         analysis.grad_check(
@@ -123,6 +133,10 @@ def cmd_check(args) -> int:
     return EXIT_ANALYSIS if overall == "fail" else EXIT_OK
 
 
+# record fields compared within a tolerance, with their list nesting depth
+_NUMERIC_FIELDS = {"loss": 0, "x_norms": 1, "d": 1, "slots": 2}
+
+
 def _read_records(path: Path) -> list:
     try:
         lines = path.read_text().splitlines()
@@ -138,8 +152,23 @@ def _read_records(path: Path) -> list:
             raise ConfigError(f"{path}:{n}", f"invalid JSON: {e.msg}") from e
         if not isinstance(rec, dict) or not {"t", "T", "pairs"} <= rec.keys():
             raise ConfigError(f"{path}:{n}", "record needs keys t, T and pairs")
+        for field, depth in _NUMERIC_FIELDS.items():
+            if field in rec and not _is_numeric(rec[field], depth):
+                raise ConfigError(f"{path}:{n}", f"{field}: expected numbers")
         out.append(rec)
     return out
+
+
+def _is_numeric(value, depth: int) -> bool:
+    if depth == 0:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, list) and all(_is_numeric(v, depth - 1) for v in value)
+
+
+def _differs(va, vb, tol: float) -> bool:
+    if isinstance(va, list):
+        return len(va) != len(vb) or any(_differs(a, b, tol) for a, b in zip(va, vb))
+    return abs(va - vb) > tol
 
 
 def _records_differ(ra: dict, rb: dict, tol: float):
@@ -147,18 +176,18 @@ def _records_differ(ra: dict, rb: dict, tol: float):
         return "t"
     if ra["pairs"] != rb["pairs"]:
         return "pairs"
-    for field in ("loss", "x_norms", "d", "slots"):
+    for field in _NUMERIC_FIELDS:
         va, vb = ra.get(field), rb.get(field)
         if va is None and vb is None:
             continue
-        if va is None or vb is None:
-            return field
-        if np.max(np.abs(np.asarray(va, float) - np.asarray(vb, float))) > tol:
+        if va is None or vb is None or _differs(va, vb, tol):
             return field
     return None
 
 
 def cmd_compare(args) -> int:
+    if not 0 <= args.tol < math.inf:
+        raise ConfigError("--tol", f"must be finite and >= 0, got {args.tol}")
     a = _read_records(Path(args.run_a) / "trajectory.jsonl")
     b = _read_records(Path(args.run_b) / "trajectory.jsonl")
     report = {"check": "compare", "tolerance": args.tol}
@@ -184,6 +213,10 @@ def cmd_compare(args) -> int:
 
 def cmd_witness(args) -> int:
     config = config_from_json(_load_config_obj(args))
+    if not 0 <= args.threshold < math.inf:
+        raise ConfigError(
+            "--threshold", f"must be finite and >= 0, got {args.threshold}"
+        )
     alt = initial_law_state(config.law)
     if args.alt_w:
         try:
@@ -196,21 +229,17 @@ def cmd_witness(args) -> int:
         extra = set(overrides) - known
         if extra:
             raise ConfigError(f"--alt-w.{sorted(extra)[0]}", "unknown key")
-        if "program_counter" in overrides:
-            alt.program_counter = int(overrides["program_counter"])
-        if "macro_count" in overrides:
-            alt.macro_count = int(overrides["macro_count"])
+        for key in ("program_counter", "macro_count"):
+            if key in overrides:
+                setattr(alt, key, require_int(overrides, key, lo=0,
+                                              path=f"--alt-w.{key}"))
         if "law_seed" in overrides:
-            alt.rng_words = new_words(int(overrides["law_seed"]))
+            alt.rng_words = new_words(require_int(
+                overrides, "law_seed", lo=0, hi=2**64, path="--alt-w.law_seed"
+            ))
         if "pairs" in overrides:
-            from .expr import EquationPairList
-
-            try:
-                pairs = EquationPairList.from_json(overrides["pairs"])
-                pairs.compile(config.arities)
-            except GrammarError as e:
-                raise ConfigError("--alt-w.pairs", str(e)) from e
-            alt.cpair = pairs
+            alt.cpair = parse_pairs(overrides["pairs"], "--alt-w.pairs",
+                                    config.arities, config.law.kind)
     report = analysis.divergence_witness(config, alt, threshold=args.threshold)
     if args.out:
         out = Path(args.out)
@@ -242,7 +271,7 @@ def cmd_sweep(args) -> int:
     for idx, overrides in enumerate(grid):
         obj = _load_config_obj(args)
         for key, value in overrides.items():
-            _set_path(obj, f"{key}={json.dumps(value)}")
+            _set_path(obj, key, value)
         config = config_from_json(obj)
         run_dir = out_root / f"run_{idx:04d}"
         records = _run_into(config, run_dir)
@@ -272,10 +301,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "--set",
             action="append",
             metavar="KEY=VALUE",
-            help="override a config key (dotted paths allowed, JSON values)",
+            help="override a config key: a dotted path whose numeric parts "
+            "index lists, and a JSON value (else taken as a string)",
         )
-        p.add_argument("--seed", type=int, help="override init_seed")
-        p.add_argument("--log-every", type=int, help="override log_every")
         if with_out:
             p.add_argument("--out", required=True, help="output directory")
 

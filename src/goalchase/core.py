@@ -38,6 +38,8 @@ __all__ = [
     "config_from_json",
     "config_from_json_str",
     "init_state",
+    "parse_pairs",
+    "require_int",
 ]
 
 
@@ -152,7 +154,8 @@ _CONFIG_KEYS = {
 }
 
 
-def _require_int(obj, key, lo=None, hi=None, default=None, path=None):
+def require_int(obj, key, lo=None, hi=None, default=None, path=None):
+    """obj[key] as an int in [lo, hi); bools, floats and strings are rejected."""
     path = path or key
     if key not in obj:
         if default is None:
@@ -179,7 +182,8 @@ def _require_float(obj, key, default=None):
     return float(val)
 
 
-def _parse_pairs(obj, key: str, arities) -> EquationPairList:
+def parse_pairs(obj, key: str, arities, law_kind=None) -> EquationPairList:
+    """Goal pairs from JSON, each side checked against the arity table."""
     if not isinstance(obj, list):
         raise ConfigError(key, f"expected a list of [left, right] pairs")
     try:
@@ -194,6 +198,9 @@ def _parse_pairs(obj, key: str, arities) -> EquationPairList:
                 raise ConfigError(
                     f"{key}[{k}][{side}]", f"{seq_to_text(seq)}: {e}"
                 ) from e
+    # a grammar walk mutates an existing pair, so it needs at least one
+    if law_kind == GRAMMAR_WALK and not pairs.pairs:
+        raise ConfigError(key, "grammar_walk needs at least one pair")
     return pairs
 
 
@@ -214,25 +221,23 @@ def _parse_law(obj, arities) -> LawSpec:
             f"law.{sorted(extra)[0]}", f"key not allowed for kind {kind!r}"
         )
     if kind == SCHEDULE:
-        period = _require_int(obj, "period", lo=1, default=1, path="law.period")
+        period = require_int(obj, "period", lo=1, default=1, path="law.period")
         program_obj = obj.get("program")
         if not isinstance(program_obj, list) or not program_obj:
             raise ConfigError("law.program", "expected a non-empty list")
         program = tuple(
-            _parse_pairs(entry, f"law.program[{j}]", arities)
+            parse_pairs(entry, f"law.program[{j}]", arities)
             for j, entry in enumerate(program_obj)
         )
         return LawSpec(kind=SCHEDULE, arities=arities, program=program,
                        period=period)
     if "pairs" not in obj:
         raise ConfigError("law.pairs", "missing required key")
-    pairs = _parse_pairs(obj["pairs"], "law.pairs", arities)
+    pairs = parse_pairs(obj["pairs"], "law.pairs", arities, kind)
     if kind == IDENTITY_LAW:
         return LawSpec(kind=IDENTITY_LAW, arities=arities, pairs=pairs)
-    if not pairs.pairs:
-        raise ConfigError("law.pairs", "grammar_walk needs at least one pair")
-    seed = _require_int(obj, "law_seed", lo=0, hi=_U64, default=0,
-                        path="law.law_seed")
+    seed = require_int(obj, "law_seed", lo=0, hi=_U64, default=0,
+                       path="law.law_seed")
     weights = obj.get("mutation_weights", [1.0, 1.0, 1.0, 1.0])
     if (
         not isinstance(weights, list)
@@ -261,7 +266,7 @@ def config_from_json(obj: dict) -> ScenarioConfig:
     extra = set(obj) - _CONFIG_KEYS
     if extra:
         raise ConfigError(sorted(extra)[0], "unknown key")
-    m = _require_int(obj, "m", lo=1)
+    m = require_int(obj, "m", lo=1)
     slots_obj = obj.get("slots")
     if not isinstance(slots_obj, list) or not slots_obj:
         raise ConfigError("slots", "expected a non-empty list of slot specs")
@@ -269,10 +274,10 @@ def config_from_json(obj: dict) -> ScenarioConfig:
     for i, spec in enumerate(slots_obj):
         if not isinstance(spec, dict):
             raise ConfigError(f"slots[{i}]", f"expected an object, got {spec!r}")
-        _require_int(spec, "m", path=f"slots[{i}].m")
+        require_int(spec, "m", path=f"slots[{i}].m")
         for key in ("hidden", "pad", "arity"):
             if key in spec:
-                _require_int(spec, key, path=f"slots[{i}].{key}")
+                require_int(spec, key, path=f"slots[{i}].{key}")
         try:
             fam = BridgeFamily.from_json(spec)
         except (TypeError, ValueError) as e:
@@ -280,7 +285,7 @@ def config_from_json(obj: dict) -> ScenarioConfig:
         if fam.m != m:
             raise ConfigError(f"slots[{i}].m", f"must equal m={m}, got {fam.m}")
         families.append(fam)
-    init_seed = _require_int(obj, "init_seed", lo=0, hi=_U64)
+    init_seed = require_int(obj, "init_seed", lo=0, hi=_U64)
     eta = _require_float(obj, "eta")
     if not eta > 0:
         raise ConfigError("eta", f"must be > 0, got {eta}")
@@ -310,10 +315,10 @@ def config_from_json(obj: dict) -> ScenarioConfig:
         raise ConfigError("probes", "not allowed with probe_mode=resample")
     arities = tuple(f.arity for f in families)
     law = _parse_law(obj.get("law"), arities)
-    steps = _require_int(obj, "steps", lo=0)
-    K = _require_int(obj, "K", lo=1, default=1)
-    log_every = _require_int(obj, "log_every", lo=1, default=1)
-    snapshot_every = _require_int(obj, "snapshot_every", lo=0, default=0)
+    steps = require_int(obj, "steps", lo=0)
+    K = require_int(obj, "K", lo=1, default=1)
+    log_every = require_int(obj, "log_every", lo=1, default=1)
+    snapshot_every = require_int(obj, "snapshot_every", lo=0, default=0)
     return ScenarioConfig(
         m=m,
         slot_specs=families,
@@ -387,16 +392,3 @@ class TrajectoryRecord:
         if self.slots is not None:
             obj["slots"] = self.slots
         return obj
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "TrajectoryRecord":
-        return cls(
-            t=obj["t"],
-            T=obj["T"],
-            loss=obj["loss"],
-            pairs=obj["pairs"],
-            x_norms=obj["x_norms"],
-            d=obj["d"],
-            macro=obj.get("macro", False),
-            slots=obj.get("slots"),
-        )

@@ -37,9 +37,9 @@ def compile_pairs(cpair: EquationPairList, families) -> list:
     return list(_compile_cached(cpair, arities))
 
 
-def _residuals(cpair: EquationPairList, families, slots, d):
-    """Yield (er_k(d), left pullback, right pullback) for every goal pair."""
-    for tl, tr in compile_pairs(cpair, families):
+def _residuals(trees, families, slots, d):
+    """Yield (er_k(d), left pullback, right pullback) for every compiled pair."""
+    for tl, tr in trees:
         left, back_left = vjp_expr(tl, families, slots, d)
         right, back_right = vjp_expr(tr, families, slots, d)
         yield left - right, back_left, back_right
@@ -47,14 +47,16 @@ def _residuals(cpair: EquationPairList, families, slots, d):
 
 def feedback_error(cpair: EquationPairList, families, slots, d) -> list:
     """Residual vectors [left_k(d) - right_k(d)] for every goal pair."""
-    return [er for er, _, _ in _residuals(cpair, families, slots, d)]
+    trees = compile_pairs(cpair, families)
+    return [er for er, _, _ in _residuals(trees, families, slots, d)]
 
 
 def loss(cpair: EquationPairList, families, slots, probes) -> float:
     """Mean over probes of the summed squared residual norms."""
+    trees = compile_pairs(cpair, families)
     total = 0.0
     for d in probes:
-        for er, _, _ in _residuals(cpair, families, slots, d):
+        for er, _, _ in _residuals(trees, families, slots, d):
             total += float(er @ er)
     return total / len(probes)
 
@@ -65,10 +67,11 @@ def loss_gradients(cpair: EquationPairList, families, slots, probes) -> list:
     The cotangent seeded into each side is 2 er_k(d) / |probes|, positive
     for the left tree and negative for the right.
     """
+    trees = compile_pairs(cpair, families)
     grads = [np.zeros_like(np.asarray(s, dtype=float)) for s in slots]
     scale = 2.0 / len(probes)
     for d in probes:
-        for er, back_left, back_right in _residuals(cpair, families, slots, d):
+        for er, back_left, back_right in _residuals(trees, families, slots, d):
             cot = scale * er
             back_left(cot, grads)
             back_right(-cot, grads)

@@ -42,7 +42,7 @@ def test_run_applies_overrides(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main([
         "run", "--config", cfg, "--out", str(out),
-        "--set", "steps=10", "--set", "eta=0.1", "--seed", "9",
+        "--set", "steps=10", "--set", "eta=0.1", "--set", "init_seed=9",
     ])
     assert rc == 0
     resolved = json.loads((out / "resolved_config.json").read_text())
@@ -52,11 +52,39 @@ def test_run_applies_overrides(tmp_path, capsys):
     assert last_json(capsys)["final_t"] == 10
 
 
+def test_set_indexes_list_entries(tmp_path, capsys):
+    cfg = write_config(tmp_path, commute_obj(steps=5))
+    out = tmp_path / "out"
+    assert main([
+        "run", "--config", cfg, "--out", str(out),
+        "--set", "slots.0.kind=affine2",
+        "--set", 'law.pairs.0.0="[0,(1,1)]"',
+        "--set", 'law.pairs.0.1="[1,1]"',
+    ]) == 0
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert [s["kind"] for s in resolved["slots"]] == ["affine2", "affine1"]
+    assert resolved["law"]["pairs"] == [["[0,(1,1)]", "[1,1]"]]
+
+
+@pytest.mark.parametrize("assignment", [
+    "slots.9.pad=1", "slots.x.pad=1", "m.x=1", "nosuch.key=1", "steps",
+])
+def test_set_rejects_bad_path(tmp_path, capsys, assignment):
+    cfg = write_config(tmp_path, commute_obj(steps=5))
+    rc = main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+               "--set", assignment])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"config error: {assignment.partition('=')[0]}:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_log_every_flag(tmp_path, capsys):
     cfg = write_config(tmp_path, commute_obj(steps=50))
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out),
-                 "--log-every", "25"]) == 0
+                 "--set", "log_every=25"]) == 0
     records = read_json_lines(out / "trajectory.jsonl")
     assert [r["t"] for r in records] == [0, 25, 50]
 
@@ -159,7 +187,7 @@ def test_compare_flags_seed_change(tmp_path, capsys):
     cfg = write_config(tmp_path, commute_obj(steps=40))
     a, b = tmp_path / "a", tmp_path / "b"
     main(["run", "--config", cfg, "--out", str(a)])
-    main(["run", "--config", cfg, "--out", str(b), "--seed", "2"])
+    main(["run", "--config", cfg, "--out", str(b), "--set", "init_seed=2"])
     capsys.readouterr()
     assert main(["compare", str(a), str(b)]) == 0
     report = last_json(capsys)
@@ -181,7 +209,16 @@ def test_compare_flags_length_mismatch(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("bad_line", ["not json", '{"t": 1, "T": 0}', "[1, 2]"])
+@pytest.mark.parametrize("bad_line", [
+    "not json",
+    '{"t": 1, "T": 0}',
+    "[1, 2]",
+    '{"t": 2, "T": 0, "pairs": [], "loss": "abc"}',
+    '{"t": 2, "T": 0, "pairs": [], "loss": true}',
+    '{"t": 2, "T": 0, "pairs": [], "loss": 0.5, "x_norms": [1.0, "2"]}',
+    '{"t": 2, "T": 0, "pairs": [], "loss": 0.5, "d": 1.0}',
+    '{"t": 2, "T": 0, "pairs": [], "loss": 0.5, "slots": [[1.0], [null]]}',
+])
 def test_compare_rejects_malformed_record(tmp_path, capsys, bad_line):
     cfg = write_config(tmp_path, commute_obj(steps=5))
     a, b = tmp_path / "a", tmp_path / "b"
@@ -196,6 +233,44 @@ def test_compare_rejects_malformed_record(tmp_path, capsys, bad_line):
     err = capsys.readouterr().err
     assert f"{path}:3" in err
     assert "Traceback" not in err
+
+
+def test_compare_slots_of_different_sizes(tmp_path, capsys):
+    cfg = write_config(tmp_path, mlp_obj(steps=20))
+    a, b = tmp_path / "a", tmp_path / "b"
+    main(["run", "--config", cfg, "--out", str(a)])
+    main(["run", "--config", cfg, "--out", str(b), "--set", "eta=0.06"])
+    capsys.readouterr()
+    assert main(["compare", str(a), str(a)]) == 0
+    assert last_json(capsys)["first_divergence_t"] is None
+    assert main(["compare", str(a), str(b)]) == 0
+    report = last_json(capsys)
+    assert (report["first_divergence_t"], report["field"]) == (10, "loss")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["check", "--samples", "0"], "--samples"),
+    (["check", "--samples", "-3"], "--samples"),
+    (["check", "--fd-step", "0"], "--fd-step"),
+    (["check", "--fd-step", "nan"], "--fd-step"),
+    (["witness", "--threshold", "-1"], "--threshold"),
+    (["witness", "--threshold", "inf"], "--threshold"),
+])
+def test_analysis_flags_reject_out_of_range(tmp_path, capsys, argv, flag):
+    cfg = write_config(tmp_path, goal_switch_obj(steps=150, K=100))
+    assert main(argv + ["--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {flag}:" in err
+    assert "Traceback" not in err
+
+
+def test_compare_rejects_negative_tolerance(tmp_path, capsys):
+    cfg = write_config(tmp_path, commute_obj(steps=5))
+    main(["run", "--config", cfg, "--out", str(tmp_path / "a")])
+    capsys.readouterr()
+    a = str(tmp_path / "a")
+    assert main(["compare", a, a, "--tol", "-1"]) == 2
+    assert "config error: --tol:" in capsys.readouterr().err
 
 
 def test_witness_end_to_end(tmp_path, capsys):
@@ -244,11 +319,36 @@ def test_witness_rejects_unknown_override(tmp_path, capsys):
 
 
 def test_witness_rejects_bad_pairs(tmp_path, capsys):
-    cfg = write_config(tmp_path, commute_obj(steps=50))
-    rc = main(["witness", "--config", cfg,
-               "--alt-w", '{"pairs": [["[0]", "[1"]]}'])
-    assert rc == 2
-    assert "--alt-w.pairs" in capsys.readouterr().err
+    commute = write_config(tmp_path, commute_obj(steps=50), "commute.json")
+    walk = write_config(tmp_path, walk_obj(steps=50, K=10), "walk.json")
+    for cfg, alt_w in [
+        (commute, '{"pairs": [["[0]", "[1"]]}'),
+        (commute, '{"pairs": 5}'),
+        (commute, '{"pairs": [["[0]", "[2]"]]}'),
+        (walk, '{"pairs": []}'),  # a grammar walk needs a pair to mutate
+    ]:
+        rc = main(["witness", "--config", cfg, "--alt-w", alt_w])
+        assert rc == 2, alt_w
+        err = capsys.readouterr().err
+        assert "config error: --alt-w.pairs" in err, alt_w
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("alt_w,key", [
+    ('{"law_seed": -1}', "law_seed"),
+    ('{"law_seed": 18446744073709551616}', "law_seed"),
+    ('{"law_seed": "3"}', "law_seed"),
+    ('{"macro_count": "x"}', "macro_count"),
+    ('{"macro_count": -1}', "macro_count"),
+    ('{"program_counter": 2.9}', "program_counter"),
+    ('{"program_counter": true}', "program_counter"),
+])
+def test_witness_rejects_bad_law_state_number(tmp_path, capsys, alt_w, key):
+    cfg = write_config(tmp_path, goal_switch_obj(steps=50))
+    assert main(["witness", "--config", cfg, "--alt-w", alt_w]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: --alt-w.{key}:" in err
+    assert "Traceback" not in err
 
 
 def test_sweep_runs_grid(tmp_path, capsys):
@@ -279,10 +379,21 @@ def test_sweep_run_matches_direct_run_bytes(tmp_path, capsys):
                  "--out", str(out)]) == 0
     direct = tmp_path / "direct"
     assert main(["run", "--config", cfg, "--out", str(direct),
-                 "--seed", "7"]) == 0
+                 "--set", "init_seed=7"]) == 0
     assert (out / "run_0000" / "trajectory.jsonl").read_bytes() == (
         direct / "trajectory.jsonl"
     ).read_bytes()
+
+
+def test_sweep_grid_key_indexes_slot_list(tmp_path, capsys):
+    cfg = write_config(tmp_path, commute_obj(steps=5))
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps([{"slots.1.pad": 2}]))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--grid", str(grid_path),
+                 "--out", str(out)]) == 0
+    resolved = json.loads((out / "run_0000" / "resolved_config.json").read_text())
+    assert [s.get("pad", 0) for s in resolved["slots"]] == [0, 2]
 
 
 def test_sweep_rejects_bad_grid(tmp_path, capsys):
