@@ -17,7 +17,7 @@ from .core import (
     SlotState,
     init_state,
 )
-from .expr import ArgTuple, EquationPairList, Index, IndexSequence
+from .expr import EquationPairList
 from .feedback import control_step, loss, loss_gradients
 from .goallaw import IDENTITY_LAW, LawState
 from . import simulator
@@ -218,26 +218,22 @@ def pad_witness(family: BridgeFamily, params, pad_seed: int = 0,
     }
 
 
-def _random_sequence(gen, arities, max_len: int = 3) -> IndexSequence:
+def _random_sequence(gen, arities, max_len: int = 3) -> tuple:
     unary = [i for i, a in enumerate(arities) if a == 1]
     items = []
     for _ in range(int(gen.integers(1, max_len + 1))):
         slot = int(gen.integers(len(arities)))
+        items.append(slot)
         if arities[slot] == 1:
-            items.append(Index(slot))
             continue
         children = []
         for _ in range(2):
             n = int(gen.integers(0, 3)) if unary else 0
             children.append(
-                IndexSequence(
-                    tuple(Index(unary[int(gen.integers(len(unary)))])
-                          for _ in range(n))
-                )
+                tuple(unary[int(gen.integers(len(unary)))] for _ in range(n))
             )
-        items.append(Index(slot))
-        items.append(ArgTuple(tuple(children)))
-    return IndexSequence(tuple(items))
+        items.append(tuple(children))
+    return tuple(items)
 
 
 def _random_pairs(gen, arities) -> EquationPairList:

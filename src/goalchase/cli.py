@@ -19,8 +19,8 @@ import numpy as np
 
 from . import analysis, simulator
 from .bridge import MLP1H
-from .core import (ConfigError, DivergenceError, config_from_json, init_state,
-                   parse_pairs, require_int)
+from .core import (ConfigError, DivergenceError, config_from_json, finite_float,
+                   init_state, parse_pairs, require_int)
 from .goallaw import initial_law_state
 from .prng import new_words
 
@@ -154,14 +154,16 @@ def _read_records(path: Path) -> list:
             raise ConfigError(f"{path}:{n}", "record needs keys t, T and pairs")
         for field, depth in _NUMERIC_FIELDS.items():
             if field in rec and not _is_numeric(rec[field], depth):
-                raise ConfigError(f"{path}:{n}", f"{field}: expected numbers")
+                raise ConfigError(
+                    f"{path}:{n}", f"{field}: expected finite numbers"
+                )
         out.append(rec)
     return out
 
 
 def _is_numeric(value, depth: int) -> bool:
     if depth == 0:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+        return finite_float(value) is not None
     return isinstance(value, list) and all(_is_numeric(v, depth - 1) for v in value)
 
 

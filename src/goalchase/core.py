@@ -11,6 +11,7 @@ same run byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
     "TrajectoryRecord",
     "config_from_json",
     "config_from_json_str",
+    "finite_float",
     "init_state",
     "parse_pairs",
     "require_int",
@@ -171,15 +173,27 @@ def require_int(obj, key, lo=None, hi=None, default=None, path=None):
     return val
 
 
+def finite_float(val):
+    """val as a finite float, or None for a bool, a non-number, NaN, an
+    infinity or an integer too large for a float."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return None
+    try:
+        val = float(val)
+    except OverflowError:
+        return None
+    return val if math.isfinite(val) else None
+
+
 def _require_float(obj, key, default=None):
     if key not in obj:
         if default is None:
             raise ConfigError(key, "missing required key")
         return default
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(key, f"expected number, got {val!r}")
-    return float(val)
+    val = finite_float(obj[key])
+    if val is None:
+        raise ConfigError(key, f"expected a finite number, got {obj[key]!r}")
+    return val
 
 
 def parse_pairs(obj, key: str, arities, law_kind=None) -> EquationPairList:
@@ -239,23 +253,21 @@ def _parse_law(obj, arities) -> LawSpec:
     seed = require_int(obj, "law_seed", lo=0, hi=_U64, default=0,
                        path="law.law_seed")
     weights = obj.get("mutation_weights", [1.0, 1.0, 1.0, 1.0])
-    if (
-        not isinstance(weights, list)
-        or len(weights) != 4
-        or not all(isinstance(w, (int, float)) and not isinstance(w, bool)
-                   and w >= 0 for w in weights)
-    ):
+    weights = [finite_float(w) for w in weights] if isinstance(weights, list) else []
+    if len(weights) != 4 or not all(w is not None and w >= 0 for w in weights):
         raise ConfigError(
-            "law.mutation_weights", f"expected 4 non-negative numbers"
+            "law.mutation_weights", "expected 4 finite non-negative numbers"
         )
     if sum(weights) <= 0:
         raise ConfigError("law.mutation_weights", "weights must not all be zero")
+    if not math.isfinite(sum(weights)):
+        raise ConfigError("law.mutation_weights", "weights must have a finite sum")
     return LawSpec(
         kind=GRAMMAR_WALK,
         arities=arities,
         pairs=pairs,
         law_seed=seed,
-        mutation_weights=tuple(float(w) for w in weights),
+        mutation_weights=tuple(weights),
     )
 
 

@@ -1,4 +1,4 @@
-"""Index sequences and the expression trees they compile to.
+"""Sequences of slot indices and the expression trees they compile to.
 
 A sequence of slot indices denotes a chain of per-slot maps read left to
 right, composing with the leftmost factor outermost.  An arity-2 index
@@ -6,6 +6,10 @@ must be followed immediately by a 2-tuple holding the sequences that
 produce its arguments; those arguments consume the value flowing into the
 factor (the probe itself at chain tail).  The empty sequence denotes the
 identity map.
+
+A sequence is a plain tuple whose items are slot indices (ints) or
+argument tuples (tuples of sub-sequences), so ``[0,(1,[2,1])]`` is
+``(0, ((1,), (2, 1)))``.
 
 Text form: ``[1,2]`` composes slot 1 after slot 2, ``[0,(1,2)]`` applies
 slot 0 to the outputs of slots 1 and 2, ``[]`` is the identity.
@@ -17,14 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import BridgeFamily, eval_bridge, grad_bridge
+from .bridge import eval_bridge, grad_bridge
 
 __all__ = [
     "GrammarError",
     "ArityError",
-    "Index",
-    "ArgTuple",
-    "IndexSequence",
     "Identity",
     "Apply",
     "Compose",
@@ -44,26 +45,6 @@ class GrammarError(ValueError):
 
 class ArityError(GrammarError):
     """A tuple is missing, misplaced, or of the wrong size for its slot."""
-
-
-# --- sequence data ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Index:
-    i: int
-
-
-@dataclass(frozen=True)
-class ArgTuple:
-    children: tuple["IndexSequence", ...]
-
-
-@dataclass(frozen=True)
-class IndexSequence:
-    """Ordered items, each an Index or an ArgTuple of sub-sequences."""
-
-    items: tuple = ()
 
 
 # --- expression trees ------------------------------------------------------
@@ -92,17 +73,17 @@ IDENTITY = Identity()
 # --- text serialization ----------------------------------------------------
 
 
-def seq_to_text(seq: IndexSequence) -> str:
-    return "[" + ",".join(_item_to_text(it) for it in seq.items) + "]"
+def seq_to_text(seq: tuple) -> str:
+    return "[" + ",".join(_item_to_text(it) for it in seq) + "]"
 
 
 def _item_to_text(item) -> str:
-    if isinstance(item, Index):
-        return str(item.i)
+    if isinstance(item, int):
+        return str(item)
     parts = []
-    for child in item.children:
-        if len(child.items) == 1 and isinstance(child.items[0], Index):
-            parts.append(str(child.items[0].i))
+    for child in item:
+        if len(child) == 1 and isinstance(child[0], int):
+            parts.append(str(child[0]))
         else:
             parts.append(seq_to_text(child))
     return "(" + ",".join(parts) + ")"
@@ -140,8 +121,8 @@ class _Scanner:
         return int(self.text[start : self.pos])
 
 
-def seq_from_text(text: str) -> IndexSequence:
-    """Parse the bracketed text form back into an IndexSequence."""
+def seq_from_text(text: str) -> tuple:
+    """Parse the bracketed text form back into a sequence tuple."""
     sc = _Scanner(text)
     seq = _scan_sequence(sc)
     sc.skip_ws()
@@ -150,26 +131,26 @@ def seq_from_text(text: str) -> IndexSequence:
     return seq
 
 
-def _scan_sequence(sc: _Scanner) -> IndexSequence:
+def _scan_sequence(sc: _Scanner) -> tuple:
     sc.take("[")
     items = []
     if sc.peek() == "]":
         sc.take("]")
-        return IndexSequence(())
+        return ()
     while True:
         ch = sc.peek()
         if ch == "(":
             items.append(_scan_tuple(sc))
         else:
-            items.append(Index(sc.take_int()))
+            items.append(sc.take_int())
         if sc.peek() == ",":
             sc.take(",")
             continue
         sc.take("]")
-        return IndexSequence(tuple(items))
+        return tuple(items)
 
 
-def _scan_tuple(sc: _Scanner) -> ArgTuple:
+def _scan_tuple(sc: _Scanner) -> tuple:
     sc.take("(")
     children = []
     while True:
@@ -177,19 +158,19 @@ def _scan_tuple(sc: _Scanner) -> ArgTuple:
         if ch == "[":
             children.append(_scan_sequence(sc))
         else:
-            children.append(IndexSequence((Index(sc.take_int()),)))
+            children.append((sc.take_int(),))
         if sc.peek() == ",":
             sc.take(",")
             continue
         sc.take(")")
-        return ArgTuple(tuple(children))
+        return tuple(children)
 
 
 # --- grammar ---------------------------------------------------------------
 
 
-def parse_sequence(seq: IndexSequence, arities) -> object:
-    """Compile an IndexSequence into an expression tree.
+def parse_sequence(seq: tuple, arities) -> object:
+    """Compile a sequence tuple into an expression tree.
 
     `arities` maps slot index to declared arity.  Factors are read left to
     right and chained by composition, leftmost outermost; an arity-2 index
@@ -197,15 +178,13 @@ def parse_sequence(seq: IndexSequence, arities) -> object:
     full sub-sequence.
     """
     factors = []
-    items = seq.items
     k = 0
-    while k < len(items):
-        item = items[k]
-        if isinstance(item, ArgTuple):
+    while k < len(seq):
+        i = seq[k]
+        if isinstance(i, tuple):
             raise GrammarError(
                 f"tuple at position {k} has no preceding arity-2 slot"
             )
-        i = item.i
         if not 0 <= i < len(arities):
             raise GrammarError(
                 f"slot index {i} out of range for {len(arities)} slot(s)"
@@ -215,18 +194,17 @@ def parse_sequence(seq: IndexSequence, arities) -> object:
             factors.append(Apply(i, (IDENTITY,)))
             k += 1
             continue
-        if k + 1 >= len(items) or not isinstance(items[k + 1], ArgTuple):
+        if k + 1 >= len(seq) or not isinstance(seq[k + 1], tuple):
             raise ArityError(
                 f"arity-{arity} slot {i} at position {k} must be followed "
                 f"by a {arity}-tuple"
             )
-        tup = items[k + 1]
-        if len(tup.children) != arity:
+        tup = seq[k + 1]
+        if len(tup) != arity:
             raise ArityError(
-                f"slot {i} takes {arity} arguments, tuple has "
-                f"{len(tup.children)}"
+                f"slot {i} takes {arity} arguments, tuple has {len(tup)}"
             )
-        kids = tuple(parse_sequence(c, arities) for c in tup.children)
+        kids = tuple(parse_sequence(c, arities) for c in tup)
         factors.append(Apply(i, kids))
         k += 2
     if not factors:

@@ -13,18 +13,11 @@ a sequence the grammar rejects.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import (
-    ArgTuple,
-    EquationPairList,
-    GrammarError,
-    Index,
-    IndexSequence,
-    parse_sequence,
-)
+from .expr import EquationPairList, GrammarError, parse_sequence
 from .prng import new_words, rng_from_words, rng_to_words
 
 IDENTITY_LAW = "identity"
@@ -160,7 +153,7 @@ def _step_grammar_walk(spec: LawSpec, state: LawState, n: int) -> LawState:
     return LawState(EquationPairList(new_pairs), state.program_counter, n, words)
 
 
-def _parses(seq: IndexSequence, arities) -> bool:
+def _parses(seq: tuple, arities) -> bool:
     try:
         parse_sequence(seq, arities)
     except GrammarError:
@@ -174,12 +167,10 @@ def _mutate(gen, pair, kind, arities):
     if kind == MUT_SWAP_ADJACENT:
         side = int(gen.integers(2))
         seq = left if side == 0 else right
-        if len(seq.items) < 2:
+        if len(seq) < 2:
             return None
-        j = int(gen.integers(len(seq.items) - 1))
-        items = list(seq.items)
-        items[j], items[j + 1] = items[j + 1], items[j]
-        out = IndexSequence(tuple(items))
+        j = int(gen.integers(len(seq) - 1))
+        out = seq[:j] + (seq[j + 1], seq[j]) + seq[j + 2 :]
         return (out, right) if side == 0 else (left, out)
     if kind == MUT_APPEND_UNARY:
         unary = [i for i, a in enumerate(arities) if a == 1]
@@ -188,31 +179,25 @@ def _mutate(gen, pair, kind, arities):
         side = int(gen.integers(2))
         slot = unary[int(gen.integers(len(unary)))]
         seq = left if side == 0 else right
-        out = IndexSequence(seq.items + (Index(slot),))
+        out = seq + (slot,)
         return (out, right) if side == 0 else (left, out)
     if kind == MUT_SWAP_SIDES:
         return (right, left)
     binary = [i for i, a in enumerate(arities) if a == 2]
-    if not binary or not left.items or not right.items:
+    if not binary or not left or not right:
         return None
     slot = binary[int(gen.integers(len(binary)))]
     head_l, rest_l = _split_head(left, arities)
     head_r, rest_r = _split_head(right, arities)
-    tup_l = ArgTuple((IndexSequence(head_l), IndexSequence(head_r)))
-    tup_r = ArgTuple((IndexSequence(head_r), IndexSequence(head_l)))
-    new_l = IndexSequence((Index(slot), tup_l) + rest_l)
-    new_r = IndexSequence((Index(slot), tup_r) + rest_r)
+    new_l = (slot, (head_l, head_r)) + rest_l
+    new_r = (slot, (head_r, head_l)) + rest_r
     return (new_l, new_r)
 
 
-def _split_head(seq: IndexSequence, arities) -> tuple:
+def _split_head(seq: tuple, arities) -> tuple:
     # the head factor spans its bound tuple when the leading slot is binary
-    first = seq.items[0]
+    first = seq[0]
     span = 1
-    if (
-        isinstance(first, Index)
-        and 0 <= first.i < len(arities)
-        and arities[first.i] == 2
-    ):
+    if isinstance(first, int) and 0 <= first < len(arities) and arities[first] == 2:
         span = 2
-    return seq.items[:span], seq.items[span:]
+    return seq[:span], seq[span:]

@@ -218,6 +218,9 @@ def test_compare_flags_length_mismatch(tmp_path, capsys):
     '{"t": 2, "T": 0, "pairs": [], "loss": 0.5, "x_norms": [1.0, "2"]}',
     '{"t": 2, "T": 0, "pairs": [], "loss": 0.5, "d": 1.0}',
     '{"t": 2, "T": 0, "pairs": [], "loss": 0.5, "slots": [[1.0], [null]]}',
+    '{"t": 2, "T": 0, "pairs": [], "loss": NaN}',
+    '{"t": 2, "T": 0, "pairs": [], "loss": Infinity}',
+    '{"t": 2, "T": 0, "pairs": [], "loss": ' + "9" * 400 + "}",
 ])
 def test_compare_rejects_malformed_record(tmp_path, capsys, bad_line):
     cfg = write_config(tmp_path, commute_obj(steps=5))

@@ -97,6 +97,8 @@ def test_missing_and_bad_scalars():
     assert err(commute_obj(m=0)).key == "m"
     assert err(commute_obj(eta=0.0)).key == "eta"
     assert err(commute_obj(eta="fast")).key == "eta"
+    assert err(commute_obj(eta=float("inf"))).key == "eta"
+    assert err(commute_obj(eta=10**400)).key == "eta"
     assert err(commute_obj(mu=1.0)).key == "mu"
     assert err(commute_obj(drift=-0.1)).key == "drift"
     assert err(commute_obj(steps=-1)).key == "steps"
@@ -189,6 +191,12 @@ def test_grammar_walk_law_errors():
     assert err(obj).key == "law.mutation_weights"
     obj = walk_obj()
     obj["law"]["mutation_weights"] = [1, -1, 1, 1]
+    assert err(obj).key == "law.mutation_weights"
+    obj = walk_obj()
+    obj["law"]["mutation_weights"] = [float("inf"), 0, 0, 0]
+    assert err(obj).key == "law.mutation_weights"
+    obj = walk_obj()
+    obj["law"]["mutation_weights"] = [1e308, 1e308, 0, 0]
     assert err(obj).key == "law.mutation_weights"
     obj = walk_obj()
     obj["law"]["law_seed"] = 1 << 64

@@ -5,14 +5,11 @@ from goalchase.bridge import AFFINE1, AFFINE2, BridgeFamily
 from goalchase.expr import (
     IDENTITY,
     Apply,
-    ArgTuple,
     ArityError,
     Compose,
     EquationPairList,
     GrammarError,
     Identity,
-    Index,
-    IndexSequence,
     node_count,
     parse_sequence,
     seq_from_text,
@@ -290,3 +287,6 @@ def test_sequence_structures_are_hashable():
     b = seq_from_text("[0,(1,2)]")
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+    seq = (0, ((1,), (2, 1)))
+    assert seq_from_text("[0,(1,[2,1])]") == seq
+    assert seq_to_text(seq) == "[0,(1,[2,1])]"

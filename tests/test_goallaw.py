@@ -138,12 +138,12 @@ def test_walk_append_only_grows_one_item():
     spec = walk_spec(seed=5, weights=(0.0, 1.0, 0.0, 0.0))
     state = initial_law_state(spec)
     size = sum(
-        len(l.items) + len(r.items) for l, r in state.cpair.pairs
+        len(l) + len(r) for l, r in state.cpair.pairs
     )
     for step in range(1, 21):
         state = step_law(spec, state)
         now = sum(
-            len(l.items) + len(r.items) for l, r in state.cpair.pairs
+            len(l) + len(r) for l, r in state.cpair.pairs
         )
         assert now == size + step
 
@@ -164,9 +164,7 @@ def test_walk_adjacent_swap_preserves_indices_per_side():
         changed = 0
         for (pl, pr), (nl, nr) in zip(prev.pairs, state.cpair.pairs):
             for old, new in ((pl, nl), (pr, nr)):
-                assert sorted(i.i for i in old.items) == sorted(
-                    i.i for i in new.items
-                )
+                assert sorted(old) == sorted(new)
                 changed += old != new
         assert changed == 1
         prev = state.cpair

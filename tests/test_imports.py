@@ -1,0 +1,42 @@
+"""Import hygiene of the package, checked with the standard library only.
+
+Each module must use every name it imports (the package `__init__` only
+re-exports, so it is exempt), and every `__all__` entry must exist.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import goalchase
+
+PACKAGE = Path(goalchase.__file__).resolve().parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_uses_every_import(name):
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = sorted(set(imported_names(tree)) - used)
+    assert not unused, f"goalchase.{name} imports unused {unused}"
+
+
+# importing __main__ would start the CLI
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "__main__"])
+def test_all_entries_are_defined(name):
+    module = importlib.import_module(f"goalchase.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"goalchase.{name}.__all__ names undefined {missing}"
