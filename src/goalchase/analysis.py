@@ -10,13 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bridge import MLP1H, BridgeFamily, eval_bridge
-from .core import (
-    FIXED_SET,
-    ConfigError,
-    ScenarioConfig,
-    SlotState,
-    init_state,
-)
+from .core import ConfigError, ScenarioConfig, SlotState, init_state
 from .expr import EquationPairList
 from .feedback import control_step, loss, loss_gradients
 from .goallaw import IDENTITY_LAW, LawState
@@ -38,18 +32,20 @@ def is_reducible(config: ScenarioConfig) -> bool:
     return config.law.kind == IDENTITY_LAW
 
 
+def _max_abs_deviation(xs, ys) -> float:
+    """Largest entry-wise |x - y| over paired arrays (0.0 if all are empty)."""
+    return max([0.0] + [float(np.max(np.abs(x - y)))
+                        for x, y in zip(xs, ys) if x.size])
+
+
 def _state_deviation(a: SlotState, b: SlotState) -> float:
     if a.probe_cursor != b.probe_cursor or not np.array_equal(
         a.rng_words, b.rng_words
     ):
         return float("inf")
-    dev = 0.0
-    for xa, xb in zip(a.slots, b.slots):
-        dev = max(dev, float(np.max(np.abs(xa - xb))) if xa.size else 0.0)
-    for va, vb in zip(a.momentum, b.momentum):
-        dev = max(dev, float(np.max(np.abs(va - vb))) if va.size else 0.0)
-    dev = max(dev, float(np.max(np.abs(a.probe - b.probe))))
-    return dev
+    return _max_abs_deviation(
+        [*a.slots, *a.momentum, a.probe], [*b.slots, *b.momentum, b.probe]
+    )
 
 
 def reduction_check(config: ScenarioConfig) -> dict:
@@ -62,17 +58,14 @@ def reduction_check(config: ScenarioConfig) -> dict:
     if not is_reducible(config):
         raise ConfigError("law.kind", "reduction_check needs the identity law")
     cpair = config.law.pairs
-    sim = simulator.new_sim(config)
     reduced = init_state(config)
     max_dev = 0.0
     first_dev = None
-    for _ in range(config.steps):
-        sim = simulator.step(sim)
-        probes = (
-            config.probes if config.probe_mode == FIXED_SET else [reduced.probe]
-        )
+    states = simulator.iterate(config)
+    next(states)  # t = 0: both sides start from init_state(config)
+    for sim in states:
         reduced = control_step(
-            reduced, cpair, config.slot_specs, probes,
+            reduced, cpair, config.slot_specs, config.probe_set(reduced),
             config.eta, config.mu, config.drift, config.probe_mode,
         )
         dev = _state_deviation(sim.sub, reduced)
@@ -95,25 +88,25 @@ def divergence_witness(
     alt_law_state: LawState,
     threshold: float = 1e-2,
     atol: float = 1e-12,
+    sinks=None,
 ) -> dict:
     """Run the scenario twice from the same seeded state, once with the
     configured initial law state and once with `alt_law_state`, and find
     the first step at which slot parameters deviate beyond `atol`.
 
     The two runs share every input except the law's own state, so any
-    divergence is attributable to the rewrite level alone.
+    divergence is attributable to the rewrite level alone.  `sinks`, when
+    given, is a pair of callables (such as `simulator.recorder`s) fed
+    every state of the configured and of the alternative run, in turn.
     """
-    sim_a = simulator.new_sim(config)
-    sim_b = simulator.SimState(config, init_state(config), alt_law_state.copy())
     first = None
     dev = 0.0
-    for _ in range(config.steps):
-        sim_a = simulator.step(sim_a)
-        sim_b = simulator.step(sim_b)
-        dev = max(
-            float(np.max(np.abs(xa - xb))) if xa.size else 0.0
-            for xa, xb in zip(sim_a.sub.slots, sim_b.sub.slots)
-        )
+    runs = zip(simulator.iterate(config), simulator.iterate(config, alt_law_state))
+    for sim_a, sim_b in runs:
+        if sinks is not None:
+            sinks[0](sim_a)
+            sinks[1](sim_b)
+        dev = _max_abs_deviation(sim_a.sub.slots, sim_b.sub.slots)
         if first is None and dev > atol:
             first = sim_a.t
     found = first is not None and dev > threshold
@@ -162,12 +155,9 @@ def permutation_witness(
     permuted[hm : hm + h] = b1[perm]
     permuted[hm + h : hm + h + m * h] = W2[:, perm].ravel()
     gen = np.random.Generator(np.random.PCG64(probe_seed))
-    dev = 0.0
-    for _ in range(n_probes):
-        d = gen.uniform(-1.0, 1.0, size=m)
-        ya = eval_bridge(family, params, [d])
-        yb = eval_bridge(family, permuted, [d])
-        dev = max(dev, float(np.max(np.abs(ya - yb))))
+    inputs = [[gen.uniform(-1.0, 1.0, size=m)] for _ in range(n_probes)]
+    dev = _max_abs_deviation([eval_bridge(family, params, a) for a in inputs],
+                             [eval_bridge(family, permuted, a) for a in inputs])
     changed = not np.array_equal(params, permuted)
     report = {
         "check": "permutation_witness",
@@ -203,12 +193,10 @@ def pad_witness(family: BridgeFamily, params, pad_seed: int = 0,
     other[family.param_count - family.pad :] = gen.uniform(
         -10.0, 10.0, size=family.pad
     )
-    dev = 0.0
-    for _ in range(n_probes):
-        args = [gen.uniform(-1.0, 1.0, size=family.m) for _ in range(family.arity)]
-        ya = eval_bridge(family, params, args)
-        yb = eval_bridge(family, other, args)
-        dev = max(dev, float(np.max(np.abs(ya - yb))))
+    inputs = [[gen.uniform(-1.0, 1.0, size=family.m) for _ in range(family.arity)]
+              for _ in range(n_probes)]
+    dev = _max_abs_deviation([eval_bridge(family, params, a) for a in inputs],
+                             [eval_bridge(family, other, a) for a in inputs])
     return {
         "check": "pad_witness",
         "verdict": "pass" if dev == 0.0 else "fail",

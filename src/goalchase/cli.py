@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -75,11 +76,22 @@ def _load_config_obj(args) -> dict:
     return obj
 
 
-def _run_into(config, out_dir: Path) -> list:
+@contextmanager
+def _trajectory_out(out_dir: Path, records: list):
+    """Yield a sink recording into `records` and `out_dir`/trajectory.jsonl,
+    then write summary.csv if the run ends without an error."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "resolved_config.json").write_text(config.to_json_str())
-    records, _ = simulator.run(config, jsonl_path=out_dir / "trajectory.jsonl")
+    with open(out_dir / "trajectory.jsonl", "w") as fh:
+        yield simulator.recorder(records, fh)
     simulator.write_summary_csv(records, out_dir / "summary.csv")
+
+
+def _run_into(config, out_dir: Path) -> list:
+    records = []
+    with _trajectory_out(out_dir, records) as record:
+        (out_dir / "resolved_config.json").write_text(config.to_json_str())
+        for sim in simulator.iterate(config):
+            record(sim)
     return records
 
 
@@ -242,19 +254,16 @@ def cmd_witness(args) -> int:
         if "pairs" in overrides:
             alt.cpair = parse_pairs(overrides["pairs"], "--alt-w.pairs",
                                     config.arities, config.law.kind)
-    report = analysis.divergence_witness(config, alt, threshold=args.threshold)
-    if args.out:
+    if not args.out:
+        report = analysis.divergence_witness(config, alt, threshold=args.threshold)
+    else:
         out = Path(args.out)
-        a_dir, b_dir = out / "a", out / "b"
-        for d in (a_dir, b_dir):
-            d.mkdir(parents=True, exist_ok=True)
-        (out / "resolved_config.json").write_text(config.to_json_str())
-        rec_a, _ = simulator.run(config, jsonl_path=a_dir / "trajectory.jsonl")
-        rec_b, _ = simulator.run(
-            config, jsonl_path=b_dir / "trajectory.jsonl", law_state=alt
-        )
-        simulator.write_summary_csv(rec_a, a_dir / "summary.csv")
-        simulator.write_summary_csv(rec_b, b_dir / "summary.csv")
+        with _trajectory_out(out / "a", []) as sink_a, \
+                _trajectory_out(out / "b", []) as sink_b:
+            (out / "resolved_config.json").write_text(config.to_json_str())
+            report = analysis.divergence_witness(
+                config, alt, threshold=args.threshold, sinks=(sink_a, sink_b)
+            )
         (out / "witness_report.json").write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report))
     return EXIT_OK if report["verdict"] == "pass" else EXIT_ANALYSIS
@@ -357,6 +366,9 @@ def main(argv=None) -> int:
     except DivergenceError as e:
         print(f"divergence: {e}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except OSError as e:  # inputs are read under ConfigError; this is output
+        print(f"output error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

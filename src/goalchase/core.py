@@ -112,6 +112,10 @@ class ScenarioConfig:
     def arities(self) -> tuple:
         return tuple(f.arity for f in self.slot_specs)
 
+    def probe_set(self, state: SlotState) -> list:
+        """The probes the loss averages over at `state` (one if resampled)."""
+        return self.probes if self.probe_mode == FIXED_SET else [state.probe]
+
     def to_json_obj(self) -> dict:
         obj = {
             "m": self.m,

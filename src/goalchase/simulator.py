@@ -13,31 +13,18 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    FIXED_SET,
-    DivergenceError,
-    ScenarioConfig,
-    SlotState,
-    TrajectoryRecord,
-    init_state,
-)
+from .core import (DivergenceError, ScenarioConfig, SlotState, TrajectoryRecord,
+                   init_state)
 from .feedback import control_step, loss
 from .goallaw import LawState, initial_law_state, step_law
 
-__all__ = [
-    "SimState",
-    "new_sim",
-    "step",
-    "run",
-    "make_record",
-    "record_to_json_line",
-    "write_summary_csv",
-    "pair_digest",
-]
+__all__ = ["SimState", "new_sim", "step", "iterate", "recorder", "run",
+           "make_record", "record_to_json_line", "write_summary_csv", "pair_digest"]
 
 
 @dataclass
@@ -53,20 +40,20 @@ def new_sim(config: ScenarioConfig) -> SimState:
     return SimState(config, init_state(config), initial_law_state(config.law))
 
 
-def _law_fires(sim: SimState) -> bool:
-    return sim.t > 0 and sim.t % sim.config.K == 0
+def _fires(t: int, K: int) -> bool:
+    """Whether the law fires in the step out of pre-step counter t."""
+    return t > 0 and t % K == 0
 
 
 def step(sim: SimState) -> SimState:
     """One micro-step; fires the law first when the boundary is reached."""
     cfg = sim.config
     law = sim.law
-    if _law_fires(sim):
+    if _fires(sim.t, cfg.K):
         law = step_law(cfg.law, law)
-    probes = cfg.probes if cfg.probe_mode == FIXED_SET else [sim.sub.probe]
     try:
         sub = control_step(
-            sim.sub, law.cpair, cfg.slot_specs, probes,
+            sim.sub, law.cpair, cfg.slot_specs, cfg.probe_set(sim.sub),
             cfg.eta, cfg.mu, cfg.drift, cfg.probe_mode,
         )
     except DivergenceError as e:
@@ -75,12 +62,25 @@ def step(sim: SimState) -> SimState:
     return SimState(cfg, sub, law, t, t // cfg.K)
 
 
+def iterate(config: ScenarioConfig, law_state: LawState | None = None):
+    """Yield the SimState at t = 0, 1, ..., config.steps, each one before
+    the step out of it runs.  `law_state` replaces the configured initial
+    law state; the controller state is untouched."""
+    sim = new_sim(config)
+    if law_state is not None:
+        sim = SimState(config, sim.sub, law_state.copy())
+    yield sim
+    for _ in range(config.steps):
+        sim = step(sim)
+        yield sim
+
+
 def make_record(sim: SimState, macro: bool = False) -> TrajectoryRecord:
     """Record the current state; raises DivergenceError on non-finite values."""
     cfg = sim.config
-    probes = cfg.probes if cfg.probe_mode == FIXED_SET else [sim.sub.probe]
     with np.errstate(over="ignore", invalid="ignore"):
-        val = loss(sim.law.cpair, cfg.slot_specs, sim.sub.slots, probes)
+        val = loss(sim.law.cpair, cfg.slot_specs, sim.sub.slots,
+                   cfg.probe_set(sim.sub))
         norms = [float(np.linalg.norm(s)) for s in sim.sub.slots]
     if not np.isfinite(val) or not all(np.isfinite(n) for n in norms):
         raise DivergenceError(
@@ -107,6 +107,24 @@ def record_to_json_line(rec: TrajectoryRecord) -> str:
     return json.dumps(rec.to_json_obj(), separators=(",", ":"))
 
 
+def recorder(records: list, out=None):
+    """A sink fed the states of one run in step order.  It records t = 0,
+    every `log_every`-th and the last step, and each step the law fires
+    into (`macro`) or out of, appending to `records` and writing each JSON
+    line to the text file `out`, if given, at once."""
+
+    def record(sim: SimState) -> None:
+        cfg, t = sim.config, sim.t
+        macro = _fires(t - 1, cfg.K)
+        if macro or t % cfg.log_every == 0 or t == cfg.steps or _fires(t, cfg.K):
+            rec = make_record(sim, macro)
+            records.append(rec)
+            if out is not None:
+                out.write(record_to_json_line(rec) + "\n")
+
+    return record
+
+
 def run(
     config: ScenarioConfig, jsonl_path=None, law_state: LawState | None = None
 ) -> tuple[list, SimState]:
@@ -114,36 +132,13 @@ def run(
 
     When `jsonl_path` is given, every record is written as soon as it is
     made, so a diverging run still leaves the partial trajectory on disk.
-    `law_state` replaces the configured initial law state (used by
-    divergence witnesses; the controller state is untouched).
+    `law_state` is passed on to `iterate`.
     """
-    sim = new_sim(config)
-    if law_state is not None:
-        sim = SimState(config, sim.sub, law_state.copy())
     records: list[TrajectoryRecord] = []
-    writer = open(jsonl_path, "w") if jsonl_path is not None else None
-    last_emitted = -1
-
-    def emit(rec: TrajectoryRecord):
-        nonlocal last_emitted
-        records.append(rec)
-        last_emitted = rec.t
-        if writer is not None:
-            writer.write(record_to_json_line(rec) + "\n")
-
-    try:
-        emit(make_record(sim))
-        for _ in range(config.steps):
-            fires = _law_fires(sim)
-            if fires and last_emitted != sim.t:
-                emit(make_record(sim))
-            sim = step(sim)
-            due = fires or sim.t % config.log_every == 0 or sim.t == config.steps
-            if due and last_emitted != sim.t:
-                emit(make_record(sim, macro=fires))
-    finally:
-        if writer is not None:
-            writer.close()
+    with open(jsonl_path, "w") if jsonl_path is not None else nullcontext() as out:
+        record = recorder(records, out)
+        for sim in iterate(config, law_state):
+            record(sim)
     return records, sim
 
 

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from goalchase import simulator
 from goalchase.cli import main
+from goalchase.simulator import step
 
 from scenarios import commute_obj, goal_switch_obj, mlp_obj, walk_obj
 
@@ -293,6 +295,58 @@ def test_witness_end_to_end(tmp_path, capsys):
     assert main(["compare", str(out / "a"), str(out / "b")]) == 0
     cmp_report = last_json(capsys)
     assert cmp_report["first_divergence_t"] == 101
+
+
+def test_witness_out_steps_each_run_once(tmp_path, capsys, monkeypatch):
+    steps = 40
+    cfg = write_config(tmp_path, goal_switch_obj(steps=steps, K=10))
+    calls = []
+
+    def counting_step(sim):
+        calls.append(sim.t)
+        return step(sim)
+
+    monkeypatch.setattr(simulator, "step", counting_step)
+    assert main([
+        "witness", "--config", cfg, "--alt-w", '{"program_counter": 1}',
+        "--threshold", "1e-6", "--out", str(tmp_path / "wit"),
+    ]) == 0
+    assert len(calls) == 2 * steps
+    for side in ("a", "b"):
+        records = read_json_lines(tmp_path / "wit" / side / "trajectory.jsonl")
+        assert records[-1]["t"] == steps
+
+
+def test_witness_out_keeps_partial_trajectories_on_divergence(tmp_path, capsys):
+    cfg = write_config(tmp_path, goal_switch_obj(steps=50, K=2))
+    out = tmp_path / "wit"
+    rc = main([
+        "witness", "--config", cfg, "--alt-w", '{"program_counter": 1}',
+        "--set", "eta=1e9", "--out", str(out),
+    ])
+    assert rc == 3
+    for side in ("a", "b"):
+        assert read_json_lines(out / side / "trajectory.jsonl")[0]["t"] == 0
+        assert not (out / side / "summary.csv").exists()
+    assert not (out / "witness_report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    ["sweep", "--grid", "GRID"],
+    ["witness", "--alt-w", '{"program_counter": 1}'],
+])
+def test_out_on_a_file_exits_2(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, goal_switch_obj(steps=3, K=2))
+    grid = tmp_path / "grid.json"
+    grid.write_text("[{}]")
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    argv = [str(grid) if a == "GRID" else a for a in argv]
+    rc = main([*argv, "--config", cfg, "--out", str(blocker)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error:") and str(blocker) in err
 
 
 def test_witness_pairs_override_diverges_immediately(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Import hygiene of the package, checked with the standard library only.
 
 Each module must use every name it imports (the package `__init__` only
-re-exports, so it is exempt), and every `__all__` entry must exist.
+re-exports, so it is exempt), every `__all__` entry must exist, and
+`simulator.iterate` is the one loop that calls `simulator.step`.
 """
 
 import ast
@@ -40,3 +41,24 @@ def test_all_entries_are_defined(name):
     module = importlib.import_module(f"goalchase.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"goalchase.{name}.__all__ names undefined {missing}"
+
+
+def step_calls(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if getattr(f, "id", None) == "step" or getattr(f, "attr", None) == "step":
+                yield node
+
+
+def test_only_iterate_calls_step():
+    calls = {
+        f"{name}:{node.lineno}"
+        for name in MODULES
+        for node in step_calls(ast.parse((PACKAGE / f"{name}.py").read_text()))
+    }
+    tree = ast.parse((PACKAGE / "simulator.py").read_text())
+    (iterate,) = [n for n in tree.body
+                  if isinstance(n, ast.FunctionDef) and n.name == "iterate"]
+    inside = {f"simulator:{node.lineno}" for node in step_calls(iterate)}
+    assert len(inside) == 1 and calls == inside, sorted(calls - inside)

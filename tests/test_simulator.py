@@ -114,6 +114,13 @@ def test_jsonl_flushed_before_divergence(tmp_path):
     assert len(lines) >= 1
     for line in lines:
         json.loads(line)
+    # the record made just before the law fires at t=2 is on disk although
+    # the step out of it (t=3) diverges
+    config = config_from_json(commute_obj(eta=1e9, steps=50, K=2, log_every=1000))
+    with pytest.raises(DivergenceError) as e:
+        run(config, jsonl_path=path)
+    assert e.value.step == 3
+    assert [json.loads(ln)["t"] for ln in path.read_text().splitlines()] == [0, 2]
 
 
 def test_snapshots_at_interval_and_final_step():
