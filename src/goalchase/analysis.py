@@ -51,8 +51,8 @@ def _state_deviation(a: SlotState, b: SlotState) -> float:
 def reduction_check(config: ScenarioConfig) -> dict:
     """Replay a constant-goal run against the plain one-level controller.
 
-    The two-timescale loop with the identity law and a direct loop over
-    `control_step` with the frozen goals execute the same arithmetic, so
+    The identity-law two-timescale loop and a direct loop of `loss_gradients`
+    and `control_step` on the frozen goals execute the same arithmetic, so
     the deviation must be exactly 0.0; any nonzero value is a failure.
     """
     if not is_reducible(config):
@@ -64,10 +64,10 @@ def reduction_check(config: ScenarioConfig) -> dict:
     states = simulator.iterate(config)
     next(states)  # t = 0: both sides start from init_state(config)
     for sim in states:
-        reduced = control_step(
-            reduced, cpair, config.slot_specs, config.probe_set(reduced),
-            config.eta, config.mu, config.drift, config.probe_mode,
-        )
+        probes = config.probe_set(reduced)
+        grads = loss_gradients(cpair, config.slot_specs, reduced.slots, probes)
+        reduced = control_step(reduced, grads, probes, config.eta, config.mu,
+                               config.drift, config.probe_mode)
         dev = _state_deviation(sim.sub, reduced)
         if dev > max_dev:
             max_dev = dev

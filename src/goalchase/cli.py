@@ -79,8 +79,9 @@ def _load_config_obj(args) -> dict:
 @contextmanager
 def _trajectory_out(out_dir: Path, records: list):
     """Yield a sink recording into `records` and `out_dir`/trajectory.jsonl,
-    then write summary.csv if the run ends without an error."""
+    then write summary.csv (an earlier one is removed first) if it ends cleanly."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "summary.csv").unlink(missing_ok=True)
     with open(out_dir / "trajectory.jsonl", "w") as fh:
         yield simulator.recorder(records, fh)
     simulator.write_summary_csv(records, out_dir / "summary.csv")
@@ -260,6 +261,7 @@ def cmd_witness(args) -> int:
         out = Path(args.out)
         with _trajectory_out(out / "a", []) as sink_a, \
                 _trajectory_out(out / "b", []) as sink_b:
+            (out / "witness_report.json").unlink(missing_ok=True)
             (out / "resolved_config.json").write_text(config.to_json_str())
             report = analysis.divergence_witness(
                 config, alt, threshold=args.threshold, sinks=(sink_a, sink_b)

@@ -6,6 +6,8 @@ and the controller then descends the rewritten goals within the same
 step, so the goal change precedes the parameter change it influences.
 Records are written every `log_every` steps plus immediately before and
 after every law event, and are strictly ordered by t with T = t // K.
+Each state is evaluated at most once, for its record and the step out of
+it; states are values, so never mutate a yielded state's slots in place.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ import hashlib
 import json
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import (DivergenceError, ScenarioConfig, SlotState, TrajectoryRecord,
                    init_state)
-from .feedback import control_step, loss
+from .feedback import control_step, evaluate
 from .goallaw import LawState, initial_law_state, step_law
 
 __all__ = ["SimState", "new_sim", "step", "iterate", "recorder", "run",
@@ -35,6 +38,12 @@ class SimState:
     t: int = 0
     T: int = 0
 
+    @cached_property
+    def evaluation(self):
+        """`feedback.evaluate` of the goals at the slots: (loss, gradients)."""
+        return evaluate(self.law.cpair, self.config.slot_specs, self.sub.slots,
+                        self.config.probe_set(self.sub))
+
 
 def new_sim(config: ScenarioConfig) -> SimState:
     return SimState(config, init_state(config), initial_law_state(config.law))
@@ -48,18 +57,17 @@ def _fires(t: int, K: int) -> bool:
 def step(sim: SimState) -> SimState:
     """One micro-step; fires the law first when the boundary is reached."""
     cfg = sim.config
-    law = sim.law
     if _fires(sim.t, cfg.K):
-        law = step_law(cfg.law, law)
+        sim = SimState(cfg, sim.sub, step_law(cfg.law, sim.law), sim.t, sim.T)
     try:
         sub = control_step(
-            sim.sub, law.cpair, cfg.slot_specs, cfg.probe_set(sim.sub),
+            sim.sub, sim.evaluation[1](), cfg.probe_set(sim.sub),
             cfg.eta, cfg.mu, cfg.drift, cfg.probe_mode,
         )
     except DivergenceError as e:
         raise DivergenceError(f"{e} at step {sim.t + 1}", step=sim.t + 1) from e
     t = sim.t + 1
-    return SimState(cfg, sub, law, t, t // cfg.K)
+    return SimState(cfg, sub, sim.law, t, t // cfg.K)
 
 
 def iterate(config: ScenarioConfig, law_state: LawState | None = None):
@@ -78,9 +86,8 @@ def iterate(config: ScenarioConfig, law_state: LawState | None = None):
 def make_record(sim: SimState, macro: bool = False) -> TrajectoryRecord:
     """Record the current state; raises DivergenceError on non-finite values."""
     cfg = sim.config
+    val = sim.evaluation[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        val = loss(sim.law.cpair, cfg.slot_specs, sim.sub.slots,
-                   cfg.probe_set(sim.sub))
         norms = [float(np.linalg.norm(s)) for s in sim.sub.slots]
     if not np.isfinite(val) or not all(np.isfinite(n) for n in norms):
         raise DivergenceError(

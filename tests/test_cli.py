@@ -331,6 +331,30 @@ def test_witness_out_keeps_partial_trajectories_on_divergence(tmp_path, capsys):
     assert not (out / "witness_report.json").exists()
 
 
+def test_failed_run_removes_stale_summary(tmp_path, capsys):
+    cfg = write_config(tmp_path, commute_obj(steps=20))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert len((out / "summary.csv").read_text().splitlines()) == 22
+    rc = main(["run", "--config", cfg, "--out", str(out), "--set", "eta=1e9"])
+    assert rc == 3
+    assert len(read_json_lines(out / "trajectory.jsonl")) < 21
+    assert not (out / "summary.csv").exists()
+
+
+def test_failed_witness_removes_stale_outputs(tmp_path, capsys):
+    cfg = write_config(tmp_path, goal_switch_obj(steps=50, K=2))
+    out = tmp_path / "wit"
+    argv = ["witness", "--config", cfg, "--alt-w", '{"program_counter": 1}',
+            "--out", str(out)]
+    assert main(argv) in (0, 1)
+    assert (out / "witness_report.json").exists()
+    assert main([*argv, "--set", "eta=1e9"]) == 3
+    assert not (out / "witness_report.json").exists()
+    for side in ("a", "b"):
+        assert not (out / side / "summary.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["run"],
     ["sweep", "--grid", "GRID"],

@@ -157,7 +157,10 @@ def test_loss_gradients_call_each_bridge_once_per_apply_node(monkeypatch):
 
 def test_control_step_zero_eta_keeps_slots():
     config, state, cpair = _control_setup()
-    new = control_step(state, cpair, config.slot_specs, config.probes, eta=0.0)
+    new = control_step(
+        state, loss_gradients(cpair, config.slot_specs, state.slots, config.probes),
+        config.probes, eta=0.0,
+    )
     assert all(np.array_equal(a, b) for a, b in zip(new.slots, state.slots))
     assert new.probe_cursor == 1
     assert np.array_equal(new.probe, config.probes[1])
@@ -166,9 +169,8 @@ def test_control_step_zero_eta_keeps_slots():
 def test_control_step_zero_loss_applies_drift_only():
     config, state, cpair = _control_setup()
     same = pairs_of(["[0,1]", "[0,1]"])
-    new = control_step(
-        state, same, config.slot_specs, config.probes, eta=0.05, drift=0.25
-    )
+    grads = loss_gradients(same, config.slot_specs, state.slots, config.probes)
+    new = control_step(state, grads, config.probes, eta=0.05, drift=0.25)
     for a, b in zip(new.slots, state.slots):
         assert np.array_equal(a, 0.75 * b)
 
@@ -176,9 +178,12 @@ def test_control_step_zero_loss_applies_drift_only():
 def test_control_step_momentum_recurrence():
     config, state, cpair = _control_setup()
     eta, mu = 0.05, 0.9
-    s1 = control_step(state, cpair, config.slot_specs, config.probes, eta, mu)
-    s2 = control_step(s1, cpair, config.slot_specs, config.probes, eta, mu)
     g0 = loss_gradients(cpair, config.slot_specs, state.slots, config.probes)
+    s1 = control_step(state, g0, config.probes, eta, mu)
+    s2 = control_step(
+        s1, loss_gradients(cpair, config.slot_specs, s1.slots, config.probes),
+        config.probes, eta, mu,
+    )
     v1 = [mu * v + g for v, g in zip(state.momentum, g0)]
     x1 = [s - eta * v for s, v in zip(state.slots, v1)]
     g1 = loss_gradients(cpair, config.slot_specs, x1, config.probes)
@@ -194,7 +199,8 @@ def test_control_step_fixed_probe_cycle_and_private_words():
     cur = state
     words0 = state.rng_words.copy()
     for k in range(1, 6):
-        cur = control_step(cur, cpair, config.slot_specs, config.probes, 0.05)
+        grads = loss_gradients(cpair, config.slot_specs, cur.slots, config.probes)
+        cur = control_step(cur, grads, config.probes, 0.05)
         assert cur.probe_cursor == k % 4
         assert np.array_equal(cur.probe, config.probes[k % 4])
         assert np.array_equal(cur.rng_words, words0)
@@ -202,19 +208,17 @@ def test_control_step_fixed_probe_cycle_and_private_words():
 
 def test_control_step_resample_draws_and_advances_words():
     config, state, cpair = _control_setup()
-    a = control_step(
-        state, cpair, config.slot_specs, [state.probe], 0.05,
-        probe_mode="resample",
-    )
+    grads = loss_gradients(cpair, config.slot_specs, state.slots, [state.probe])
+    a = control_step(state, grads, [state.probe], 0.05, probe_mode="resample")
     b = control_step(
-        state.copy(), cpair, config.slot_specs, [state.probe], 0.05,
-        probe_mode="resample",
+        state.copy(), grads, [state.probe], 0.05, probe_mode="resample"
     )
     assert np.array_equal(a.probe, b.probe)
     assert not np.array_equal(a.rng_words, state.rng_words)
     assert np.all(np.abs(a.probe) <= 1.0)
     c = control_step(
-        a, cpair, config.slot_specs, [a.probe], 0.05, probe_mode="resample"
+        a, loss_gradients(cpair, config.slot_specs, a.slots, [a.probe]),
+        [a.probe], 0.05, probe_mode="resample",
     )
     assert not np.array_equal(c.probe, a.probe)
 
@@ -222,7 +226,8 @@ def test_control_step_resample_draws_and_advances_words():
 def test_control_step_does_not_mutate_input():
     config, state, cpair = _control_setup()
     frozen = state.copy()
-    control_step(state, cpair, config.slot_specs, config.probes, 0.05, 0.5)
+    grads = loss_gradients(cpair, config.slot_specs, state.slots, config.probes)
+    control_step(state, grads, config.probes, 0.05, 0.5)
     assert all(np.array_equal(a, b) for a, b in zip(state.slots, frozen.slots))
     assert all(
         np.array_equal(a, b) for a, b in zip(state.momentum, frozen.momentum)
@@ -236,7 +241,8 @@ def test_descent_reduces_loss():
     start = loss(cpair, config.slot_specs, state.slots, config.probes)
     cur = state
     for _ in range(200):
-        cur = control_step(cur, cpair, config.slot_specs, config.probes, 0.05)
+        grads = loss_gradients(cpair, config.slot_specs, cur.slots, config.probes)
+        cur = control_step(cur, grads, config.probes, 0.05)
     end = loss(cpair, config.slot_specs, cur.slots, config.probes)
     assert end < start * 0.1
 
@@ -246,5 +252,6 @@ def test_non_finite_gradient_raises():
     state.slots[0][:] = 1e308
     bad = pairs_of(["[0]", "[1]"])
     with pytest.raises(DivergenceError) as e:
-        control_step(state, bad, config.slot_specs, config.probes, 0.05)
+        grads = loss_gradients(bad, config.slot_specs, state.slots, config.probes)
+        control_step(state, grads, config.probes, 0.05)
     assert "slot 0" in str(e.value)

@@ -4,10 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from goalchase.core import DivergenceError, config_from_json
+from goalchase import expr
+from goalchase.core import DivergenceError, config_from_json, init_state
 from goalchase.expr import EquationPairList
-from goalchase.goallaw import LawState
+from goalchase.feedback import control_step, loss, loss_gradients
+from goalchase.goallaw import LawState, initial_law_state, step_law
 from goalchase.simulator import (
+    iterate,
     make_record,
     new_sim,
     pair_digest,
@@ -216,3 +219,42 @@ def test_divergence_raises_without_numpy_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError):
             run(config)
+
+
+@pytest.mark.parametrize("obj, evaluations", [
+    (commute_obj(steps=10, log_every=1), 11),
+    (goal_switch_obj(steps=6, K=2, log_every=1), 7 + 2),  # states + firings
+    (commute_obj(steps=10, log_every=100), 11),
+])
+def test_each_state_is_evaluated_once(monkeypatch, obj, evaluations):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return eval_bridge(*args)
+
+    eval_bridge = expr.eval_bridge
+    monkeypatch.setattr(expr, "eval_bridge", counting)
+    run(config_from_json(obj))
+    # one pair of two 2-factor sides over 4 probes: 16 calls per evaluation
+    assert len(calls) == 16 * evaluations
+
+
+def test_cached_evaluation_never_goes_stale():
+    config = config_from_json(goal_switch_obj(steps=9, K=2, log_every=1))
+    sub, law = init_state(config), initial_law_state(config.law)
+    for sim in iterate(config):
+        rec = make_record(sim)
+        probes = config.probe_set(sim.sub)
+        assert rec.loss == loss(sim.law.cpair, config.slot_specs, sim.sub.slots,
+                                probes)
+        assert all(np.array_equal(a, b) for a, b in zip(sim.sub.slots, sub.slots))
+        if sim.t == config.steps:
+            break
+        if sim.t > 0 and sim.t % config.K == 0:
+            law = step_law(config.law, law)
+        probes = config.probe_set(sub)
+        grads = loss_gradients(law.cpair, config.slot_specs, sub.slots, probes)
+        sub = control_step(sub, grads, probes, config.eta, config.mu,
+                           config.drift, config.probe_mode)
+    assert sim.t == 9 and sim.law.macro_count == law.macro_count == 4
