@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bridge import MLP1H, BridgeFamily, eval_bridge
+from .bridge import MLP1H, BridgeFamily, ShapeError, eval_bridge
 from .core import ConfigError, ScenarioConfig, SlotState, init_state
 from .expr import EquationPairList
 from .feedback import control_step, loss, loss_gradients
@@ -125,6 +125,15 @@ def divergence_witness(
     return report
 
 
+def _checked(family: BridgeFamily, params) -> np.ndarray:
+    """`params` as a float vector, if it has the length `family` packs."""
+    params = np.asarray(params, dtype=float)
+    if params.shape != (family.param_count,):
+        raise ShapeError(f"{family.to_json()} expects {family.param_count} "
+                         f"parameters, got shape {params.shape}")
+    return params
+
+
 def permutation_witness(
     family: BridgeFamily,
     params,
@@ -144,16 +153,14 @@ def permutation_witness(
     perm = list(permutation)
     if sorted(perm) != list(range(family.hidden)):
         raise ValueError(f"not a permutation of range({family.hidden}): {perm}")
-    params = np.asarray(params, dtype=float)
+    params = _checked(family, params)
     m, h = family.m, family.hidden
-    hm = h * m
     permuted = params.copy()
-    W1 = params[:hm].reshape(h, m)
-    b1 = params[hm : hm + h]
-    W2 = params[hm + h : hm + h + m * h].reshape(m, h)
-    permuted[:hm] = W1[perm, :].ravel()
-    permuted[hm : hm + h] = b1[perm]
-    permuted[hm + h : hm + h + m * h] = W2[:, perm].ravel()
+    W1, b1, W2, _, _ = family.blocks(params)
+    pW1, pb1, pW2, _, _ = family.blocks(permuted)
+    pW1[:] = W1[perm, :]
+    pb1[:] = b1[perm]
+    pW2[:] = W2[:, perm]
     gen = np.random.Generator(np.random.PCG64(probe_seed))
     inputs = [[gen.uniform(-1.0, 1.0, size=m)] for _ in range(n_probes)]
     dev = _max_abs_deviation([eval_bridge(family, params, a) for a in inputs],
@@ -180,7 +187,7 @@ def pad_witness(family: BridgeFamily, params, pad_seed: int = 0,
                 n_probes: int = 100) -> dict:
     """Check that rewriting the pad tail of a parameter vector changes the
     realized map by exactly nothing."""
-    params = np.asarray(params, dtype=float)
+    params = _checked(family, params)
     if family.pad == 0:
         return {
             "check": "pad_witness",
@@ -190,9 +197,7 @@ def pad_witness(family: BridgeFamily, params, pad_seed: int = 0,
         }
     gen = np.random.Generator(np.random.PCG64(pad_seed))
     other = params.copy()
-    other[family.param_count - family.pad :] = gen.uniform(
-        -10.0, 10.0, size=family.pad
-    )
+    family.blocks(other)[-1][:] = gen.uniform(-10.0, 10.0, size=family.pad)
     inputs = [[gen.uniform(-1.0, 1.0, size=family.m) for _ in range(family.arity)]
               for _ in range(n_probes)]
     dev = _max_abs_deviation([eval_bridge(family, params, a) for a in inputs],

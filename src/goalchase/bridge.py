@@ -2,13 +2,21 @@
 
 A family interprets a flat parameter vector as a concrete map on R^m.
 Three families are provided: affine1 (A u + b), affine2 (A u + B v + c)
-and mlp1h (W2 tanh(W1 u + b1) + b2).  Matrices are packed row-major.
+and mlp1h (W2 tanh(W1 u + b1) + b2).  Matrices are packed row-major, in
+the block order of `_LAYOUTS`, the one statement of each packing.
 Every family accepts `pad` trailing parameters that the map ignores, so
 distinct parameter vectors can realize the same function.
+
+`eval_bridge` and `grad_bridge` run in the inner loop: they take float
+arrays of the family's shapes and check nothing.  Parameters are checked
+where they enter: `config_from_json` validates each slot's layout,
+`init_state` draws `param_count` entries per slot, and the witnesses in
+`analysis` raise `ShapeError` for a vector of the wrong length.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +37,16 @@ __all__ = [
     "grad_bridge",
 ]
 
+# block shapes of each packed layout, given (m, hidden); the pad tail follows
+_LAYOUTS = {
+    AFFINE1: lambda m, h: [(m, m), (m,)],
+    AFFINE2: lambda m, h: [(m, m), (m, m), (m,)],
+    MLP1H: lambda m, h: [(h, m), (h,), (m, h), (m,)],
+}
+
 
 class ShapeError(ValueError):
-    """Parameter or argument shapes disagree with the family layout."""
+    """A parameter vector's length disagrees with its family's layout."""
 
 
 @dataclass(frozen=True)
@@ -60,6 +75,14 @@ class BridgeFamily:
             raise ValueError(f"hidden is only meaningful for mlp1h")
         if self.pad < 0:
             raise ValueError(f"pad must be >= 0, got {self.pad}")
+        # (start, stop, matrix shape or None) per block, the pad tail last
+        table, start = [], 0
+        for shape in _LAYOUTS[self.kind](self.m, self.hidden) + [(self.pad,)]:
+            stop = start + math.prod(shape)
+            table.append((start, stop, shape if len(shape) == 2 else None))
+            start = stop
+        object.__setattr__(self, "_blocks", tuple(table))
+        object.__setattr__(self, "_zero_pad", np.zeros(self.pad))
 
     @property
     def arity(self) -> int:
@@ -67,12 +90,16 @@ class BridgeFamily:
 
     @property
     def param_count(self) -> int:
-        m, h = self.m, self.hidden
-        if self.kind == AFFINE1:
-            return m * m + m + self.pad
-        if self.kind == AFFINE2:
-            return 2 * m * m + m + self.pad
-        return h * m + h + m * h + m + self.pad
+        return self._blocks[-1][1]
+
+    def blocks(self, params) -> list[np.ndarray]:
+        """Writable views of the blocks of `params`, in layout order, pad last."""
+        return [params[i:j] if shape is None else params[i:j].reshape(shape)
+                for i, j, shape in self._blocks]
+
+    def pack(self, *blocks) -> np.ndarray:
+        """Concatenate `blocks` (layout order, pad excluded) and a zero pad."""
+        return np.concatenate([b.ravel() for b in blocks] + [self._zero_pad])
 
     def to_json(self) -> dict:
         obj = {"kind": self.kind, "m": self.m}
@@ -101,87 +128,35 @@ class BridgeFamily:
         return fam
 
 
-def _check(family: BridgeFamily, params, args) -> tuple[np.ndarray, list[np.ndarray]]:
-    params = np.asarray(params, dtype=float)
-    if params.shape != (family.param_count,):
-        raise ShapeError(
-            f"{family.kind} expects {family.param_count} parameters, "
-            f"got shape {params.shape}"
-        )
-    if len(args) != family.arity:
-        raise ShapeError(
-            f"{family.kind} takes {family.arity} argument(s), got {len(args)}"
-        )
-    vecs = []
-    for k, a in enumerate(args):
-        a = np.asarray(a, dtype=float)
-        if a.shape != (family.m,):
-            raise ShapeError(
-                f"{family.kind} argument {k} expects shape ({family.m},), "
-                f"got {a.shape}"
-            )
-        vecs.append(a)
-    return params, vecs
-
-
 def eval_bridge(family: BridgeFamily, params, args) -> np.ndarray:
     """Apply the map encoded by `params` to the argument vectors."""
-    params, args = _check(family, params, args)
-    m, h = family.m, family.hidden
     if family.kind == AFFINE1:
-        A = params[: m * m].reshape(m, m)
-        b = params[m * m : m * m + m]
+        A, b, _ = family.blocks(params)
         return A @ args[0] + b
     if family.kind == AFFINE2:
-        mm = m * m
-        A = params[:mm].reshape(m, m)
-        B = params[mm : 2 * mm].reshape(m, m)
-        c = params[2 * mm : 2 * mm + m]
+        A, B, c, _ = family.blocks(params)
         return A @ args[0] + B @ args[1] + c
-    hm = h * m
-    W1 = params[:hm].reshape(h, m)
-    b1 = params[hm : hm + h]
-    W2 = params[hm + h : hm + h + m * h].reshape(m, h)
-    b2 = params[hm + h + m * h : hm + h + m * h + m]
+    W1, b1, W2, b2, _ = family.blocks(params)
     return W2 @ np.tanh(W1 @ args[0] + b1) + b2
 
 
 def grad_bridge(
-    family: BridgeFamily, params, args, cotangent
+    family: BridgeFamily, params, args, cot
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Vector-Jacobian products of `cotangent . eval_bridge`.
+    """Vector-Jacobian products of `cot . eval_bridge`.
 
     Returns (grad wrt params, [grad wrt each argument]).  Gradient entries
     for pad parameters are exactly zero.
     """
-    params, args = _check(family, params, args)
-    cot = np.asarray(cotangent, dtype=float)
-    if cot.shape != (family.m,):
-        raise ShapeError(f"cotangent expects shape ({family.m},), got {cot.shape}")
-    m, h = family.m, family.hidden
-    gp = np.zeros_like(params)
     if family.kind == AFFINE1:
-        A = params[: m * m].reshape(m, m)
-        gp[: m * m] = np.outer(cot, args[0]).ravel()
-        gp[m * m : m * m + m] = cot
-        return gp, [A.T @ cot]
+        A, _, _ = family.blocks(params)
+        return family.pack(np.outer(cot, args[0]), cot), [A.T @ cot]
     if family.kind == AFFINE2:
-        mm = m * m
-        A = params[:mm].reshape(m, m)
-        B = params[mm : 2 * mm].reshape(m, m)
-        gp[:mm] = np.outer(cot, args[0]).ravel()
-        gp[mm : 2 * mm] = np.outer(cot, args[1]).ravel()
-        gp[2 * mm : 2 * mm + m] = cot
+        A, B, _, _ = family.blocks(params)
+        gp = family.pack(np.outer(cot, args[0]), np.outer(cot, args[1]), cot)
         return gp, [A.T @ cot, B.T @ cot]
-    hm = h * m
-    W1 = params[:hm].reshape(h, m)
-    b1 = params[hm : hm + h]
-    W2 = params[hm + h : hm + h + m * h].reshape(m, h)
+    W1, b1, W2, _, _ = family.blocks(params)
     act = np.tanh(W1 @ args[0] + b1)
-    dact = W2.T @ cot
-    dz = dact * (1.0 - act * act)
-    gp[:hm] = np.outer(dz, args[0]).ravel()
-    gp[hm : hm + h] = dz
-    gp[hm + h : hm + h + m * h] = np.outer(cot, act).ravel()
-    gp[hm + h + m * h : hm + h + m * h + m] = cot
+    dz = (W2.T @ cot) * (1.0 - act * act)
+    gp = family.pack(np.outer(dz, args[0]), dz, np.outer(cot, act), cot)
     return gp, [W1.T @ dz]

@@ -112,7 +112,7 @@ class _Scanner:
     def take_int(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise GrammarError(
@@ -219,7 +219,7 @@ def parse_sequence(seq: tuple, arities) -> object:
 
 
 def vjp_expr(tree, families, slots, d):
-    """Evaluate a tree at probe `d`; return (value, pullback).
+    """Evaluate a tree at the float probe vector `d`; return (value, pullback).
 
     Reads nothing beyond (tree, families, slots, d).  Inside a Compose the
     inner value becomes the probe seen by the outer subtree, so closed
@@ -229,7 +229,6 @@ def vjp_expr(tree, families, slots, d):
     accumulate) and returns the gradient with respect to `d`.  It reuses
     the values kept by this forward walk, so no subtree is evaluated twice.
     """
-    d = np.asarray(d, dtype=float)
     if isinstance(tree, Identity):
         return d, _identity_pullback
     if isinstance(tree, Apply):

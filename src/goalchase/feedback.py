@@ -63,7 +63,7 @@ def evaluate(cpair: EquationPairList, families, slots, probes):
                 kept.append((scale * er, back_left, back_right))
 
     def gradients() -> list:
-        grads = [np.zeros_like(np.asarray(s, dtype=float)) for s in slots]
+        grads = [np.zeros_like(s) for s in slots]
         with np.errstate(over="ignore", invalid="ignore"):
             for cot, back_left, back_right in kept:
                 back_left(cot, grads)

@@ -128,11 +128,12 @@ def _step_grammar_walk(spec: LawSpec, state: LawState, n: int) -> LawState:
     pairs = state.cpair.pairs
     weights = np.asarray(spec.mutation_weights, dtype=float)
     total = weights.sum()
+    cumulative = np.cumsum(weights)
     new_pairs = None
     for _ in range(MUTATION_ATTEMPTS):
         k = int(gen.integers(len(pairs)))
         r = gen.random() * total
-        kind = int(np.searchsorted(np.cumsum(weights), r, side="right"))
+        kind = int(np.searchsorted(cumulative, r, side="right"))
         kind = min(kind, 3)
         cand = _mutate(gen, pairs[k], kind, spec.arities)
         if cand is None:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from goalchase.analysis import pad_witness, permutation_witness
 from goalchase.bridge import (
     AFFINE1,
     AFFINE2,
@@ -115,15 +116,16 @@ def test_mlp_row_major_packing():
 
 
 def test_shape_errors():
-    fam = BridgeFamily(AFFINE1, m=2)
-    with pytest.raises(ShapeError):
-        eval_bridge(fam, np.zeros(5), [np.zeros(2)])
-    with pytest.raises(ShapeError):
-        eval_bridge(fam, np.zeros(6), [np.zeros(3)])
-    with pytest.raises(ShapeError):
-        eval_bridge(fam, np.zeros(6), [np.zeros(2), np.zeros(2)])
-    with pytest.raises(ShapeError):
-        grad_bridge(fam, np.zeros(6), [np.zeros(2)], np.zeros(3))
+    # parameters are checked where they enter, in the witnesses, and not on
+    # every eval_bridge/grad_bridge call
+    mlp = BridgeFamily(MLP1H, m=2, hidden=3)
+    for n in (5, 18):
+        with pytest.raises(ShapeError, match="mlp1h.* expects 17 parameters"):
+            permutation_witness(mlp, np.zeros(n), [1, 0, 2])
+    padded = BridgeFamily(AFFINE1, m=2, pad=2)
+    for n in (5, 9):
+        with pytest.raises(ShapeError, match="affine1.* expects 8 parameters"):
+            pad_witness(padded, np.zeros(n))
 
 
 def test_grad_zero_cotangent():

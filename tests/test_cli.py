@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,6 +39,21 @@ def test_run_writes_artifacts(tmp_path, capsys):
     resolved = json.loads((out / "resolved_config.json").read_text())
     assert resolved["steps"] == 50
     assert (out / "summary.csv").exists()
+
+
+def test_cold_start_run_with_zero_steps(tmp_path):
+    # the cold start a fresh process pays before its first step
+    config = Path(__file__).resolve().parents[1] / "demos/configs/commute.json"
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "goalchase", "run", "--config", str(config),
+         "--set", "steps=0", "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    (line,) = proc.stdout.splitlines()
+    assert isinstance(json.loads(line), dict)
+    assert len(read_json_lines(out / "trajectory.jsonl")) == 1
 
 
 def test_run_applies_overrides(tmp_path, capsys):

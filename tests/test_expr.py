@@ -102,7 +102,10 @@ def test_out_of_range_index_rejected():
 
 
 def test_text_errors():
-    for bad in ["[1,2", "1,2]", "[1,,2]", "[a]", "[1]x", "[1,(2,]"]:
+    # slot digits are ASCII only: U+0661 is an Arabic-Indic one, U+00B2 a
+    # superscript two
+    for bad in ["[1,2", "1,2]", "[1,,2]", "[a]", "[1]x", "[1,(2,]",
+                "[0,\u0661]", "[\u00b2]"]:
         with pytest.raises(GrammarError):
             seq_from_text(bad)
 
