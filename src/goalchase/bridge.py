@@ -7,11 +7,11 @@ the block order of `_LAYOUTS`, the one statement of each packing.
 Every family accepts `pad` trailing parameters that the map ignores, so
 distinct parameter vectors can realize the same function.
 
-`eval_bridge` and `grad_bridge` run in the inner loop: they take float
-arrays of the family's shapes and check nothing.  Parameters are checked
-where they enter: `config_from_json` validates each slot's layout,
-`init_state` draws `param_count` entries per slot, and the witnesses in
-`analysis` raise `ShapeError` for a vector of the wrong length.
+The kernels `eval_bridge`, `grad_bridge` and `grad_args` take arrays of
+shape (..., m) whose leading axes are a batch, a single vector being the
+unbatched case; each row comes out bit for bit as it would alone.  They
+check nothing: `config_from_json` validates each slot's layout, and the
+witnesses in `analysis` raise `ShapeError` for a vector of the wrong length.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class BridgeFamily:
             table.append((start, stop, shape if len(shape) == 2 else None))
             start = stop
         object.__setattr__(self, "_blocks", tuple(table))
-        object.__setattr__(self, "_zero_pad", np.zeros(self.pad))
+        object.__setattr__(self, "_last", (None, None))
 
     @property
     def arity(self) -> int:
@@ -92,14 +92,22 @@ class BridgeFamily:
     def param_count(self) -> int:
         return self._blocks[-1][1]
 
-    def blocks(self, params) -> list[np.ndarray]:
+    def blocks(self, params) -> tuple:
         """Writable views of the blocks of `params`, in layout order, pad last."""
-        return [params[i:j] if shape is None else params[i:j].reshape(shape)
-                for i, j, shape in self._blocks]
+        last = self._last  # (params, views) of the latest call
+        if last[0] is not params:
+            last = (params, tuple(params[i:j] if shape is None else
+                                  params[i:j].reshape(shape)
+                                  for i, j, shape in self._blocks))
+            object.__setattr__(self, "_last", last)
+        return last[1]
 
     def pack(self, *blocks) -> np.ndarray:
-        """Concatenate `blocks` (layout order, pad excluded) and a zero pad."""
-        return np.concatenate([b.ravel() for b in blocks] + [self._zero_pad])
+        """Concatenate `blocks` (layout order, pad excluded; the last one a
+        vector) and a zero pad along the last axis, row by row."""
+        lead = blocks[-1].shape[:-1]
+        return np.concatenate([b.reshape(lead + (-1,)) for b in blocks]
+                              + [np.zeros(lead + (self.pad,))], axis=-1)
 
     def to_json(self) -> dict:
         obj = {"kind": self.kind, "m": self.m}
@@ -128,16 +136,25 @@ class BridgeFamily:
         return fam
 
 
+def _mv(M, X):
+    """`M` times each vector along the last axis of `X`."""
+    return (M @ X[..., None])[..., 0]
+
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
 def eval_bridge(family: BridgeFamily, params, args) -> np.ndarray:
     """Apply the map encoded by `params` to the argument vectors."""
     if family.kind == AFFINE1:
         A, b, _ = family.blocks(params)
-        return A @ args[0] + b
+        return _mv(A, args[0]) + b
     if family.kind == AFFINE2:
         A, B, c, _ = family.blocks(params)
-        return A @ args[0] + B @ args[1] + c
+        return _mv(A, args[0]) + _mv(B, args[1]) + c
     W1, b1, W2, b2, _ = family.blocks(params)
-    return W2 @ np.tanh(W1 @ args[0] + b1) + b2
+    return _mv(W2, np.tanh(_mv(W1, args[0]) + b1)) + b2
 
 
 def grad_bridge(
@@ -148,15 +165,24 @@ def grad_bridge(
     Returns (grad wrt params, [grad wrt each argument]).  Gradient entries
     for pad parameters are exactly zero.
     """
-    if family.kind == AFFINE1:
-        A, _, _ = family.blocks(params)
-        return family.pack(np.outer(cot, args[0]), cot), [A.T @ cot]
-    if family.kind == AFFINE2:
-        A, B, _, _ = family.blocks(params)
-        gp = family.pack(np.outer(cot, args[0]), np.outer(cot, args[1]), cot)
-        return gp, [A.T @ cot, B.T @ cot]
+    if family.kind == MLP1H:
+        W1, act, dz = _mlp1h_back(family, params, args, cot)
+        gp = family.pack(_outer(dz, args[0]), dz, _outer(cot, act), cot)
+        return gp, [_mv(W1.T, dz)]
+    gp = family.pack(*[_outer(cot, a) for a in args], cot)
+    return gp, grad_args(family, params, args, cot)
+
+
+def grad_args(family: BridgeFamily, params, args, cot) -> list[np.ndarray]:
+    """The argument gradients of `grad_bridge` alone."""
+    if family.kind == MLP1H:
+        W1, _, dz = _mlp1h_back(family, params, args, cot)
+        return [_mv(W1.T, dz)]
+    # an affine layout starts with the matrix of each argument
+    return [_mv(M.T, cot) for M in family.blocks(params)[:family.arity]]
+
+
+def _mlp1h_back(family: BridgeFamily, params, args, cot):
     W1, b1, W2, _, _ = family.blocks(params)
-    act = np.tanh(W1 @ args[0] + b1)
-    dz = (W2.T @ cot) * (1.0 - act * act)
-    gp = family.pack(np.outer(dz, args[0]), dz, np.outer(cot, act), cot)
-    return gp, [W1.T @ dz]
+    act = np.tanh(_mv(W1, args[0]) + b1)
+    return W1, act, _mv(W2.T, cot) * (1.0 - act * act)

@@ -13,15 +13,21 @@ argument tuples (tuples of sub-sequences), so ``[0,(1,[2,1])]`` is
 
 Text form: ``[1,2]`` composes slot 1 after slot 2, ``[0,(1,2)]`` applies
 slot 0 to the outputs of slots 1 and 2, ``[]`` is the identity.
+
+Trees are evaluated through a flat tape (`compile_tape`), built once per
+goal list, that runs a batch of probes forward (`run_forward`) and back
+(`run_reverse`); `vjp_expr` is its one-tree, one-vector view.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import eval_bridge, grad_bridge
+from .bridge import eval_bridge, grad_args, grad_bridge
 
 __all__ = [
     "GrammarError",
@@ -215,47 +221,102 @@ def parse_sequence(seq: tuple, arities) -> object:
     return tree
 
 
-# --- evaluation and gradients ----------------------------------------------
+# --- the tape: trees compiled once, run over a batch of probes -----------
+
+
+Tape = namedtuple("Tape", ["ops", "outputs", "steps"])
+
+
+def compile_tape(trees) -> Tape:
+    """Compile `trees` into one tape (ops, outputs, steps).
+
+    Value register 0 holds the probes and op k, (slot, argument registers),
+    writes register k + 1; `outputs` are the trees' value registers.  The
+    reverse `steps` replay the pullback order (an Apply, then its children
+    in tuple order; a Compose's outer side, then its inner) on cotangent
+    registers, k holding the seed of tree k.  Step (op, cot) appends the
+    argument cotangents of op `op` at register `cot`; (None, regs) appends
+    0 + regs[0] + regs[1] ..., an Apply's gradient wrt its probe.
+    """
+    ops, steps, fresh = [], [], itertools.count(len(trees))
+    emitted = [_emit(tree, 0, ops) for tree in trees]
+    for k, (_, back) in enumerate(emitted):
+        back(k, steps, fresh)
+    return Tape(tuple(ops), tuple(r for r, _ in emitted), tuple(steps))
+
+
+def _emit(tree, reg, ops):
+    """Append the ops of `tree` at value register `reg` to `ops`.  Return its
+    value register and back(cot, steps, fresh), which appends its steps at
+    cotangent register `cot`, numbering new registers from `fresh`, and
+    returns the register of its gradient wrt its probe."""
+    if isinstance(tree, Identity):
+        return reg, lambda cot, steps, fresh: cot
+    if isinstance(tree, Apply):
+        kids = [_emit(c, reg, ops) for c in tree.children]
+        ops.append((tree.slot, tuple(r for r, _ in kids)))
+        op = len(ops) - 1
+
+        def back(cot, steps, fresh):
+            steps.append((op, cot))
+            gargs = [next(fresh) for _ in kids]
+            steps.append((None, tuple(kb(g, steps, fresh)
+                                      for (_, kb), g in zip(kids, gargs))))
+            return next(fresh)
+
+        return len(ops), back
+    inner, back_inner = _emit(tree.inner, reg, ops)
+    value, back_outer = _emit(tree.outer, inner, ops)
+    return value, lambda cot, steps, fresh: back_inner(
+        back_outer(cot, steps, fresh), steps, fresh)
+
+
+def run_forward(tape: Tape, families, slots, probes) -> list:
+    """The value registers of `tape` at `probes`, an array (..., m)."""
+    values = [probes]
+    for slot, args in tape.ops:
+        values.append(eval_bridge(families[slot], slots[slot],
+                                  [values[r] for r in args]))
+    return values
+
+
+def run_reverse(tape: Tape, families, slots, values, seeds, grads) -> list:
+    """Add the per-slot gradients of sum_k seeds[k] . tree_k into `grads`
+    and return the cotangent registers; `values` are from `run_forward`.
+    One `grad_bridge` call takes all rows of a slot, added in turn to its
+    entry in `grads`: probe-major, then in step order."""
+    cots, rows = list(seeds), {}
+    for op, regs in tape.steps:
+        if op is None:
+            cots.append(sum((cots[r] for r in regs), 0.0))
+            continue
+        slot, args = tape.ops[op]
+        xs = [values[r] for r in args]
+        cots.extend(grad_args(families[slot], slots[slot], xs, cots[regs]))
+        rows.setdefault(slot, []).append((*xs, cots[regs]))
+    for slot, contributions in rows.items():
+        *xs, cot = [np.array(c) for c in zip(*contributions)]
+        gp = grad_bridge(families[slot], slots[slot], xs, cot)[0]
+        # rows to probe-major order; add.accumulate adds them one by one
+        gp = gp.swapaxes(0, -2).reshape(-1, gp.shape[-1])
+        grads[slot] = np.add.accumulate(np.concatenate([grads[slot][None], gp]))[-1]
+    return cots
 
 
 def vjp_expr(tree, families, slots, d):
     """Evaluate a tree at the float probe vector `d`; return (value, pullback).
 
-    Reads nothing beyond (tree, families, slots, d).  Inside a Compose the
-    inner value becomes the probe seen by the outer subtree, so closed
-    arguments of a mid-chain factor consume the value flowing in from the
-    right.  `pullback(cot, grads)` adds the per-slot gradients of
-    `cot . value` into the list `grads` (repeated occurrences of a slot
-    accumulate) and returns the gradient with respect to `d`.  It reuses
-    the values kept by this forward walk, so no subtree is evaluated twice.
+    The one-vector view of the tree's tape.  Inside a Compose the inner
+    value becomes the probe seen by the outer subtree, so closed arguments
+    of a mid-chain factor consume the value flowing in from the right.
+    `pullback(cot, grads)` adds the per-slot gradients of `cot . value`
+    into the list `grads` and returns the gradient with respect to `d`.
     """
-    if isinstance(tree, Identity):
-        return d, _identity_pullback
-    if isinstance(tree, Apply):
-        children = [vjp_expr(c, families, slots, d) for c in tree.children]
-        args = [value for value, _ in children]
-        family, params = families[tree.slot], slots[tree.slot]
-
-        def apply_pullback(cot, grads):
-            gp, gargs = grad_bridge(family, params, args, cot)
-            grads[tree.slot] += gp
-            dd = np.zeros_like(d)
-            for (_, back), ga in zip(children, gargs):
-                dd += back(ga, grads)
-            return dd
-
-        return eval_bridge(family, params, args), apply_pullback
-    inner, back_inner = vjp_expr(tree.inner, families, slots, d)
-    value, back_outer = vjp_expr(tree.outer, families, slots, inner)
-
-    def compose_pullback(cot, grads):
-        return back_inner(back_outer(cot, grads), grads)
-
-    return value, compose_pullback
-
-
-def _identity_pullback(cot, grads):
-    return cot
+    tape = compile_tape([tree])
+    values = run_forward(tape, families, slots, d)
+    # a tree's root op comes last, and so does the step of its probe gradient
+    return values[-1], lambda cot, grads: run_reverse(
+        tape, families, slots, values, [cot], grads)[-1]
 
 
 def node_count(tree) -> int:

@@ -2,9 +2,11 @@
 
 For goal pair k the residual at probe d is er_k(d) = left_k(d) - right_k(d);
 the loss averages the squared residual norms over the probe set; `evaluate`
-gives it and its gradient from one walk.  A controller tick descends a given
-gradient with momentum and an optional parameter leak, then advances the
-probe: it never evaluates goals, and nothing here sees the law's state.
+gives it and its gradient from one run of the goals' tape, compiled once
+per goal list (`expr.compile_tape`) and cached with its trees.  A controller
+tick descends a given gradient with momentum and an optional parameter
+leak, then advances the probe: it never evaluates goals, and nothing here
+sees the law's state.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import FIXED_SET, RESAMPLE, DivergenceError, SlotState
-from .expr import EquationPairList, vjp_expr
+from .expr import EquationPairList, compile_tape, run_forward, run_reverse
 from .prng import rng_from_words, rng_to_words
 
 __all__ = [
@@ -29,48 +31,53 @@ __all__ = [
 
 @lru_cache(maxsize=4096)
 def _compile_cached(cpair: EquationPairList, arities: tuple) -> tuple:
-    return tuple(cpair.compile(arities))
+    """(tree pairs, their tape: left and right side of each pair in turn)."""
+    trees = tuple(cpair.compile(arities))
+    return trees, compile_tape([t for pair in trees for t in pair])
 
 
 def compile_pairs(cpair: EquationPairList, families) -> tuple:
     """Parse both sides of every goal pair against the slot arity table."""
-    return _compile_cached(cpair, tuple(f.arity for f in families))
+    return _compile_cached(cpair, tuple(f.arity for f in families))[0]
+
+
+def _forward(cpair: EquationPairList, families, slots, probes) -> tuple:
+    """(tape, value registers, residuals er_k) of the goals at `probes`."""
+    tape = _compile_cached(cpair, tuple(f.arity for f in families))[1]
+    values = run_forward(tape, families, slots, probes)
+    sides = iter(tape.outputs)
+    return tape, values, [values[l] - values[r] for l, r in zip(sides, sides)]
 
 
 def feedback_error(cpair: EquationPairList, families, slots, d) -> list:
     """Residual vectors [left_k(d) - right_k(d)] for every goal pair."""
-    return [vjp_expr(tl, families, slots, d)[0] - vjp_expr(tr, families, slots, d)[0]
-            for tl, tr in compile_pairs(cpair, families)]
+    return _forward(cpair, families, slots, d)[2]
 
 
 def evaluate(cpair: EquationPairList, families, slots, probes):
-    """(loss, gradients) from one walk over every probe and goal pair.
+    """(loss, gradients) from one run of the goals' tape over all probes.
 
-    `gradients()` runs the kept pullbacks, seeding 2 er_k(d) / |probes| into
-    the left tree and its negative into the right.  Overflow is left to the
-    caller to find as non-finite values, without numpy warnings."""
-    trees = compile_pairs(cpair, families)
-    total = 0.0
-    kept = []
-    scale = 2.0 / len(probes)
+    The probes run as one (P, m) batch; the loss adds er_k(d) . er_k(d)
+    probe by probe, then pair by pair.  `gradients()` runs the tape in
+    reverse, seeding 2 er_k(d) / P into the left tree and its negative
+    into the right.  Overflow is left to the caller to find as non-finite
+    values, without numpy warnings."""
+    batch, total = np.array(probes, dtype=float), 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for d in probes:
-            for tl, tr in trees:
-                left, back_left = vjp_expr(tl, families, slots, d)
-                right, back_right = vjp_expr(tr, families, slots, d)
-                er = left - right
-                total += float(er @ er)
-                kept.append((scale * er, back_left, back_right))
+        tape, values, ers = _forward(cpair, families, slots, batch)
+        for p in range(len(batch)):
+            for er in ers:
+                total += float(er[p] @ er[p])
 
     def gradients() -> list:
         grads = [np.zeros_like(s) for s in slots]
+        cots = [2.0 / len(batch) * er for er in ers]
         with np.errstate(over="ignore", invalid="ignore"):
-            for cot, back_left, back_right in kept:
-                back_left(cot, grads)
-                back_right(-cot, grads)
+            run_reverse(tape, families, slots, values,
+                        [s for c in cots for s in (c, -c)], grads)
         return grads
 
-    return total / len(probes), gradients
+    return total / len(batch), gradients
 
 
 def loss(cpair: EquationPairList, families, slots, probes) -> float:

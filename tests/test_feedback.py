@@ -1,13 +1,18 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
-from goalchase import expr
+import goalchase
+from goalchase import expr, feedback
 from goalchase.bridge import AFFINE1, AFFINE2, BridgeFamily
 from goalchase.core import DivergenceError, config_from_json, init_state
 from goalchase.expr import Apply, ArityError, Compose, EquationPairList
 from goalchase.feedback import (
     compile_pairs,
     control_step,
+    evaluate,
     feedback_error,
     loss,
     loss_gradients,
@@ -98,6 +103,30 @@ def test_compile_cache_keys_on_arities():
         compile_pairs(cpair, fam_binary)
 
 
+def test_compile_cache_is_the_only_one(monkeypatch):
+    # the benchmark clears this cache by name before each run, so that every
+    # run pays for compiling its goals as a fresh process does
+    modules = [importlib.import_module(f"goalchase.{m.name}")
+               for m in pkgutil.iter_modules(goalchase.__path__)
+               if m.name != "__main__"]
+    scopes = [scope for mod in modules for scope in
+              [mod, *(v for v in vars(mod).values() if isinstance(v, type))]]
+    caches = {(scope.__name__, name) for scope in scopes
+              for name, obj in vars(scope).items() if hasattr(obj, "cache_info")}
+    assert caches == {("goalchase.feedback", "_compile_cached")}
+    compiles = []
+    compile_tape = feedback.compile_tape
+    monkeypatch.setattr(feedback, "compile_tape",
+                        lambda trees: compiles.append(1) or compile_tape(trees))
+    config = config_from_json(commute_obj())
+    slots = init_state(config).slots
+    feedback._compile_cached.cache_clear()
+    for n in (1, 2):
+        evaluate(config.law.pairs, config.slot_specs, slots, config.probes)[1]()
+        info = feedback._compile_cached.cache_info()
+        assert (info.hits, info.misses, len(compiles)) == (n - 1, 1, 1)
+
+
 def test_loss_gradients_match_finite_differences():
     families, _ = _oracle_setup()
     gen = np.random.Generator(np.random.PCG64(17))
@@ -135,7 +164,10 @@ def _apply_nodes(tree):
 
 
 def test_loss_gradients_call_each_bridge_once_per_apply_node(monkeypatch):
-    calls = {"eval": 0, "grad": 0}
+    # the probes run as one batch: per evaluation, eval_bridge and grad_args
+    # run once per Apply node and grad_bridge once per slot, whatever the
+    # probe count
+    calls = dict.fromkeys(("eval_bridge", "grad_args", "grad_bridge"), 0)
 
     def counting(name, fn):
         def wrapped(*args):
@@ -143,16 +175,19 @@ def test_loss_gradients_call_each_bridge_once_per_apply_node(monkeypatch):
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(expr, "eval_bridge", counting("eval", expr.eval_bridge))
-    monkeypatch.setattr(expr, "grad_bridge", counting("grad", expr.grad_bridge))
+    for name in calls:
+        monkeypatch.setattr(expr, name, counting(name, getattr(expr, name)))
     families, slots = _oracle_setup()
     cpair = pairs_of(["[0,([1,2],[2,1]),1,2]", "[2,0,(1,[0,(2,1)])]"],
                      ["[1,2,1]", "[]"])
     probes = [np.array([1.0, 2.0]), np.array([-0.5, 0.25]), np.ones(2)]
     nodes = sum(_apply_nodes(t) for pair in compile_pairs(cpair, families)
                 for t in pair)
-    loss_gradients(cpair, families, slots, probes)
-    assert calls == {"eval": nodes * len(probes), "grad": nodes * len(probes)}
+    for count in (1, 3):
+        calls.update(dict.fromkeys(calls, 0))
+        loss_gradients(cpair, families, slots, probes[:count])
+        assert calls == {"eval_bridge": nodes, "grad_args": nodes,
+                         "grad_bridge": len(slots)}
 
 
 def test_control_step_zero_eta_keeps_slots():

@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,8 +237,9 @@ def test_each_state_is_evaluated_once(monkeypatch, obj, evaluations):
     eval_bridge = expr.eval_bridge
     monkeypatch.setattr(expr, "eval_bridge", counting)
     run(config_from_json(obj))
-    # one pair of two 2-factor sides over 4 probes: 16 calls per evaluation
-    assert len(calls) == 16 * evaluations
+    # one pair of two 2-factor sides, its 4 probes in one batch: one call
+    # per Apply node, 4 per evaluation
+    assert len(calls) == 4 * evaluations
 
 
 def test_cached_evaluation_never_goes_stale():
@@ -258,3 +260,17 @@ def test_cached_evaluation_never_goes_stale():
         sub = control_step(sub, grads, probes, config.eta, config.mu,
                            config.drift, config.probe_mode)
     assert sim.t == 9 and sim.law.macro_count == law.macro_count == 4
+
+
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+
+
+@pytest.mark.parametrize("name, steps", [("commute", 300), ("grammar_walk", 1200)])
+def test_run_writes_nothing_to_stdout_or_stderr(capfd, tmp_path, name, steps):
+    # a benchmark or CLI result must be the last line its caller prints
+    obj = json.loads((DEMO_CONFIGS / f"{name}.json").read_text())
+    obj["steps"] = steps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print to stderr
+        run(config_from_json(obj), jsonl_path=tmp_path / "trajectory.jsonl")
+    assert capfd.readouterr() == ("", "")
