@@ -7,8 +7,9 @@ the block order of `_LAYOUTS`, the one statement of each packing.
 Every family accepts `pad` trailing parameters that the map ignores, so
 distinct parameter vectors can realize the same function.
 
-The kernels `eval_bridge`, `grad_bridge` and `grad_args` take arrays of
-shape (..., m) whose leading axes are a batch, a single vector being the
+The kernels `eval_bridge`, `grad_bridge` (the parameter gradient of a
+cotangent) and `grad_args` (its argument gradients) take arrays of shape
+(..., m) whose leading axes are a batch, a single vector being the
 unbatched case; each row comes out bit for bit as it would alone.  They
 check nothing: `config_from_json` validates each slot's layout, and the
 witnesses in `analysis` raise `ShapeError` for a vector of the wrong length.
@@ -157,32 +158,26 @@ def eval_bridge(family: BridgeFamily, params, args) -> np.ndarray:
     return _mv(W2, np.tanh(_mv(W1, args[0]) + b1)) + b2
 
 
-def grad_bridge(
-    family: BridgeFamily, params, args, cot
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Vector-Jacobian products of `cot . eval_bridge`.
-
-    Returns (grad wrt params, [grad wrt each argument]).  Gradient entries
-    for pad parameters are exactly zero.
-    """
+def grad_bridge(family: BridgeFamily, params, args, cot) -> np.ndarray:
+    """The parameter gradient of `cot . eval_bridge`, shape (...,
+    param_count), whose entries for pad parameters are exactly zero."""
     if family.kind == MLP1H:
-        W1, act, dz = _mlp1h_back(family, params, args, cot)
-        gp = family.pack(_outer(dz, args[0]), dz, _outer(cot, act), cot)
-        return gp, [_mv(W1.T, dz)]
-    gp = family.pack(*[_outer(cot, a) for a in args], cot)
-    return gp, grad_args(family, params, args, cot)
+        act, dz = _mlp1h_back(family, params, args, cot)
+        return family.pack(_outer(dz, args[0]), dz, _outer(cot, act), cot)
+    return family.pack(*[_outer(cot, a) for a in args], cot)
 
 
 def grad_args(family: BridgeFamily, params, args, cot) -> list[np.ndarray]:
-    """The argument gradients of `grad_bridge` alone."""
+    """The gradients of `cot . eval_bridge` wrt each argument."""
     if family.kind == MLP1H:
-        W1, _, dz = _mlp1h_back(family, params, args, cot)
-        return [_mv(W1.T, dz)]
+        _, dz = _mlp1h_back(family, params, args, cot)
+        return [_mv(family.blocks(params)[0].T, dz)]
     # an affine layout starts with the matrix of each argument
     return [_mv(M.T, cot) for M in family.blocks(params)[:family.arity]]
 
 
 def _mlp1h_back(family: BridgeFamily, params, args, cot):
+    """(act, dz): the hidden activation and the cotangent at its input."""
     W1, b1, W2, _, _ = family.blocks(params)
     act = np.tanh(_mv(W1, args[0]) + b1)
-    return W1, act, _mv(W2.T, cot) * (1.0 - act * act)
+    return act, _mv(W2.T, cot) * (1.0 - act * act)

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bridge import BridgeFamily
-from .expr import EquationPairList, GrammarError, parse_sequence, seq_to_text
+from .expr import (MAX_DEPTH, EquationPairList, GrammarError, parse_sequence,
+                   seq_to_text, tree_depth)
 from .goallaw import GRAMMAR_WALK, IDENTITY_LAW, LAW_KINDS, SCHEDULE, LawSpec
 from .prng import rng_to_words
 
@@ -201,7 +202,8 @@ def _require_float(obj, key, default=None):
 
 
 def parse_pairs(obj, key: str, arities, law_kind=None) -> EquationPairList:
-    """Goal pairs from JSON, each side checked against the arity table."""
+    """Goal pairs from JSON, each side checked against the arity table and
+    the depth bound `MAX_DEPTH`."""
     if not isinstance(obj, list):
         raise ConfigError(key, f"expected a list of [left, right] pairs")
     try:
@@ -211,11 +213,14 @@ def parse_pairs(obj, key: str, arities, law_kind=None) -> EquationPairList:
     for k, (left, right) in enumerate(pairs.pairs):
         for side, seq in (("0", left), ("1", right)):
             try:
-                parse_sequence(seq, arities)
+                depth = tree_depth(parse_sequence(seq, arities))
             except GrammarError as e:
                 raise ConfigError(
                     f"{key}[{k}][{side}]", f"{seq_to_text(seq)}: {e}"
                 ) from e
+            if depth > MAX_DEPTH:
+                raise ConfigError(f"{key}[{k}][{side}]", f"{depth} levels "
+                                  f"deep, more than the bound {MAX_DEPTH}")
     # a grammar walk mutates an existing pair, so it needs at least one
     if law_kind == GRAMMAR_WALK and not pairs.pairs:
         raise ConfigError(key, "grammar_walk needs at least one pair")
@@ -324,9 +329,11 @@ def config_from_json(obj: dict) -> ScenarioConfig:
         for j, p in enumerate(probes_obj):
             if not isinstance(p, list) or len(p) != m:
                 raise ConfigError(f"probes[{j}]", f"expected {m} numbers")
-            probes.append(np.asarray(p, dtype=float))
-            if not np.all(np.isfinite(probes[-1])):
-                raise ConfigError(f"probes[{j}]", "entries must be finite")
+            entries = [finite_float(x) for x in p]
+            if None in entries:
+                raise ConfigError(f"probes[{j}]",
+                                  f"expected finite numbers, got {p!r}")
+            probes.append(np.array(entries))
     elif "probes" in obj:
         raise ConfigError("probes", "not allowed with probe_mode=resample")
     arities = tuple(f.arity for f in families)

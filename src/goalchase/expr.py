@@ -14,6 +14,9 @@ argument tuples (tuples of sub-sequences), so ``[0,(1,[2,1])]`` is
 Text form: ``[1,2]`` composes slot 1 after slot 2, ``[0,(1,2)]`` applies
 slot 0 to the outputs of slots 1 and 2, ``[]`` is the identity.
 
+Goal text may nest at most `MAX_DEPTH` Compose and Apply levels deep
+(`tree_depth`); `core.parse_pairs` enforces it where goals enter.
+
 Trees are evaluated through a flat tape (`compile_tape`), built once per
 goal list, that runs a batch of probes forward (`run_forward`) and back
 (`run_reverse`); `vjp_expr` is its one-tree, one-vector view.
@@ -43,6 +46,10 @@ __all__ = [
     "vjp_expr",
     "node_count",
 ]
+
+
+# bound on a goal side's tree depth, in Compose and Apply levels
+MAX_DEPTH = 128
 
 
 class GrammarError(ValueError):
@@ -137,7 +144,8 @@ def seq_from_text(text: str) -> tuple:
     return seq
 
 
-def _scan_sequence(sc: _Scanner) -> tuple:
+def _scan_sequence(sc: _Scanner, tuples: int = 0) -> tuple:
+    """A sequence inside `tuples` open tuples, each one Apply level deep."""
     sc.take("[")
     items = []
     if sc.peek() == "]":
@@ -146,7 +154,7 @@ def _scan_sequence(sc: _Scanner) -> tuple:
     while True:
         ch = sc.peek()
         if ch == "(":
-            items.append(_scan_tuple(sc))
+            items.append(_scan_tuple(sc, tuples + 1))
         else:
             items.append(sc.take_int())
         if sc.peek() == ",":
@@ -156,13 +164,16 @@ def _scan_sequence(sc: _Scanner) -> tuple:
         return tuple(items)
 
 
-def _scan_tuple(sc: _Scanner) -> tuple:
+def _scan_tuple(sc: _Scanner, tuples: int) -> tuple:
+    if tuples > MAX_DEPTH:
+        raise GrammarError(f"tuples nest deeper than {MAX_DEPTH} levels "
+                           f"at position {sc.pos}")
     sc.take("(")
     children = []
     while True:
         ch = sc.peek()
         if ch == "[":
-            children.append(_scan_sequence(sc))
+            children.append(_scan_sequence(sc, tuples))
         else:
             children.append((sc.take_int(),))
         if sc.peek() == ",":
@@ -296,7 +307,7 @@ def run_reverse(tape: Tape, families, slots, values, seeds, grads) -> list:
         rows.setdefault(slot, []).append((*xs, cots[regs]))
     for slot, contributions in rows.items():
         *xs, cot = [np.array(c) for c in zip(*contributions)]
-        gp = grad_bridge(families[slot], slots[slot], xs, cot)[0]
+        gp = grad_bridge(families[slot], slots[slot], xs, cot)
         # rows to probe-major order; add.accumulate adds them one by one
         gp = gp.swapaxes(0, -2).reshape(-1, gp.shape[-1])
         grads[slot] = np.add.accumulate(np.concatenate([grads[slot][None], gp]))[-1]
@@ -317,6 +328,17 @@ def vjp_expr(tree, families, slots, d):
     # a tree's root op comes last, and so does the step of its probe gradient
     return values[-1], lambda cot, grads: run_reverse(
         tape, families, slots, values, [cot], grads)[-1]
+
+
+def tree_depth(tree) -> int:
+    """The Compose and Apply levels on the longest path down `tree`, counted
+    level by level without recursion."""
+    depth, level = 0, [tree]
+    while level := [kid for node in level if not isinstance(node, Identity)
+                    for kid in (node.children if isinstance(node, Apply)
+                                else (node.outer, node.inner))]:
+        depth += 1
+    return depth
 
 
 def node_count(tree) -> int:

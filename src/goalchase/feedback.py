@@ -3,10 +3,10 @@
 For goal pair k the residual at probe d is er_k(d) = left_k(d) - right_k(d);
 the loss averages the squared residual norms over the probe set; `evaluate`
 gives it and its gradient from one run of the goals' tape, compiled once
-per goal list (`expr.compile_tape`) and cached with its trees.  A controller
-tick descends a given gradient with momentum and an optional parameter
-leak, then advances the probe: it never evaluates goals, and nothing here
-sees the law's state.
+per goal list (`expr.compile_tape`) and cached without its trees.  A
+controller tick descends a given gradient with momentum and an optional
+parameter leak, then advances the probe: it never evaluates goals, and
+nothing here sees the law's state.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import FIXED_SET, RESAMPLE, DivergenceError, SlotState
-from .expr import EquationPairList, compile_tape, run_forward, run_reverse
+from .expr import EquationPairList, Tape, compile_tape, run_forward, run_reverse
 from .prng import rng_from_words, rng_to_words
 
 __all__ = [
@@ -30,20 +30,19 @@ __all__ = [
 
 
 @lru_cache(maxsize=4096)
-def _compile_cached(cpair: EquationPairList, arities: tuple) -> tuple:
-    """(tree pairs, their tape: left and right side of each pair in turn)."""
-    trees = tuple(cpair.compile(arities))
-    return trees, compile_tape([t for pair in trees for t in pair])
+def _compile_cached(cpair: EquationPairList, arities: tuple) -> Tape:
+    """The goals' tape: left and right side of each pair in turn."""
+    return compile_tape([t for pair in cpair.compile(arities) for t in pair])
 
 
-def compile_pairs(cpair: EquationPairList, families) -> tuple:
+def compile_pairs(cpair: EquationPairList, families) -> list:
     """Parse both sides of every goal pair against the slot arity table."""
-    return _compile_cached(cpair, tuple(f.arity for f in families))[0]
+    return cpair.compile([f.arity for f in families])
 
 
 def _forward(cpair: EquationPairList, families, slots, probes) -> tuple:
     """(tape, value registers, residuals er_k) of the goals at `probes`."""
-    tape = _compile_cached(cpair, tuple(f.arity for f in families))[1]
+    tape = _compile_cached(cpair, tuple(f.arity for f in families))
     values = run_forward(tape, families, slots, probes)
     sides = iter(tape.outputs)
     return tape, values, [values[l] - values[r] for l, r in zip(sides, sides)]

@@ -29,13 +29,14 @@ def test_batched_kernels_equal_row_by_row_calls(kind, m, pad):
         args = [gen.uniform(-3, 3, batch + (m,)) for _ in range(fam.arity)]
         cot = gen.uniform(-3, 3, batch + (m,))
         value = eval_bridge(fam, params, args)
-        gp, gargs = grad_bridge(fam, params, args, cot)
+        gp = grad_bridge(fam, params, args, cot)
+        gargs = only_args = grad_args(fam, params, args, cot)
         assert gp.shape == batch + (fam.param_count,)
-        only_args = grad_args(fam, params, args, cot)
         for idx in np.ndindex(*batch):
             row = [a[idx] for a in args]
             assert np.array_equal(value[idx], eval_bridge(fam, params, row))
-            gp1, gargs1 = grad_bridge(fam, params, row, cot[idx])
+            gp1 = grad_bridge(fam, params, row, cot[idx])
+            gargs1 = grad_args(fam, params, row, cot[idx])
             assert np.array_equal(gp[idx], gp1)
             for batched, alone, arg_only in zip(gargs, gargs1, only_args):
                 assert np.array_equal(batched[idx], alone)

@@ -7,6 +7,7 @@ import pytest
 
 from goalchase import simulator
 from goalchase.cli import main
+from goalchase.expr import MAX_DEPTH
 from goalchase.simulator import step
 
 from scenarios import commute_obj, goal_switch_obj, mlp_obj, walk_obj
@@ -129,6 +130,57 @@ def test_bad_goal_index_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "law.pairs[0][0]" in err
+
+
+def chain(levels):
+    """A flat chain of `levels` slot-1 factors: `levels` tree levels."""
+    return "[" + ",".join(["1"] * levels) + "]"
+
+
+def nested(levels):
+    """`levels` nested applications of slot 0 (affine2) around slot 1."""
+    text = "[1]"
+    for _ in range(levels - 1):
+        text = f"[0,({text},1)]"
+    return text
+
+
+@pytest.mark.parametrize("assignments,key", [
+    (['probes=[["a","b"]]'], "probes[0]"),
+    (["probes=[[[1],0]]"], "probes[0]"),
+    (["probes=[[true,false]]"], "probes[0]"),
+    ([f'law.pairs=[["{chain(1000)}","[1]"]]'], "law.pairs[0][0]"),
+    (["slots.0.kind=affine2", f'law.pairs=[["{nested(250)}","[1]"]]'],
+     "law.pairs"),
+    ([f'law.pairs=[["{nested(1000)}","[1]"]]'], "law.pairs"),
+], ids=["probe-strings", "probe-nested-list", "probe-booleans",
+        "chain-1000", "nested-250", "nested-1000"])
+def test_unchecked_inputs_exit_2(tmp_path, capsys, assignments, key):
+    cfg = write_config(tmp_path, commute_obj(steps=2))
+    argv = ["run", "--config", cfg, "--out", str(tmp_path / "out")]
+    rc = main(argv + [a for s in assignments for a in ("--set", s)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("goal", [chain, nested])
+def test_goal_at_the_depth_bound_runs_end_to_end(tmp_path, capsys, goal):
+    obj = commute_obj(steps=2, law={"kind": "identity",
+                                    "pairs": [[goal(MAX_DEPTH), "[1]"]]})
+    obj["slots"][0]["kind"] = "affine2"
+    cfg = write_config(tmp_path, obj)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["run", "--config", cfg, "--out", str(a)]) == 0
+    assert main(["run", "--config", cfg, "--out", str(b)]) == 0
+    capsys.readouterr()
+    assert main(["compare", str(a), str(b)]) == 0
+    assert last_json(capsys)["first_divergence_t"] is None
+    obj["law"]["pairs"] = [[goal(MAX_DEPTH + 1), "[1]"]]
+    cfg = write_config(tmp_path, obj)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "c")]) == 2
+    assert "config error: law.pairs" in capsys.readouterr().err
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

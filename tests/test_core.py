@@ -138,6 +138,10 @@ def test_probe_errors():
     obj = commute_obj()
     obj["probes"][0] = [float("nan"), 0.0]
     assert err(obj).key == "probes[0]"
+    for entries in (["a", "b"], [[1], 0], [True, False]):
+        obj = commute_obj()
+        obj["probes"][0] = entries
+        assert err(obj).key == "probes[0]"
     obj = commute_obj()
     obj["probes"] = []
     assert err(obj).key == "probes"

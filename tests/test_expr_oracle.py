@@ -10,7 +10,8 @@ import warnings
 
 import numpy as np
 
-from goalchase.bridge import AFFINE1, AFFINE2, MLP1H, BridgeFamily, eval_bridge, grad_bridge
+from goalchase.bridge import (AFFINE1, AFFINE2, MLP1H, BridgeFamily, eval_bridge,
+                              grad_args, grad_bridge)
 from goalchase.expr import Apply, EquationPairList, Identity, seq_from_text, vjp_expr
 from goalchase.feedback import compile_pairs, loss_gradients
 from goalchase.goallaw import GRAMMAR_WALK, LawSpec, initial_law_state, step_law
@@ -31,7 +32,8 @@ def _vjp(tree, families, slots, d, cot, grads):
         return cot
     if isinstance(tree, Apply):
         args = [eval_expr(c, families, slots, d) for c in tree.children]
-        gp, gargs = grad_bridge(families[tree.slot], slots[tree.slot], args, cot)
+        gp = grad_bridge(families[tree.slot], slots[tree.slot], args, cot)
+        gargs = grad_args(families[tree.slot], slots[tree.slot], args, cot)
         grads[tree.slot] += gp
         dd = np.zeros_like(d)
         for child, ga in zip(tree.children, gargs):
