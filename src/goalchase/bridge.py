@@ -10,9 +10,11 @@ distinct parameter vectors can realize the same function.
 The kernels `eval_bridge`, `grad_bridge` (the parameter gradient of a
 cotangent) and `grad_args` (its argument gradients) take arrays of shape
 (..., m) whose leading axes are a batch, a single vector being the
-unbatched case; each row comes out bit for bit as it would alone.  They
-check nothing: `config_from_json` validates each slot's layout, and the
-witnesses in `analysis` raise `ShapeError` for a vector of the wrong length.
+unbatched case; each row comes out bit for bit as it would alone.
+`eval_bridge` can keep mlp1h's activation tanh(W1 u + b1) for the gradient
+kernels' `act`.  They check nothing: `config_from_json` validates each
+slot's layout, and the witnesses in `analysis` raise `ShapeError` for a
+vector of the wrong length.
 """
 
 from __future__ import annotations
@@ -146,38 +148,47 @@ def _outer(a, b):
     return a[..., :, None] * b[..., None, :]
 
 
-def eval_bridge(family: BridgeFamily, params, args) -> np.ndarray:
-    """Apply the map encoded by `params` to the argument vectors."""
+def eval_bridge(family: BridgeFamily, params, args, keep=False):
+    """Apply the map encoded by `params` to the argument vectors.  With
+    `keep`, return (value, act): mlp1h's hidden activation, else None."""
+    act = None
     if family.kind == AFFINE1:
         A, b, _ = family.blocks(params)
-        return _mv(A, args[0]) + b
-    if family.kind == AFFINE2:
+        value = _mv(A, args[0]) + b
+    elif family.kind == AFFINE2:
         A, B, c, _ = family.blocks(params)
-        return _mv(A, args[0]) + _mv(B, args[1]) + c
-    W1, b1, W2, b2, _ = family.blocks(params)
-    return _mv(W2, np.tanh(_mv(W1, args[0]) + b1)) + b2
+        value = _mv(A, args[0]) + _mv(B, args[1]) + c
+    else:
+        W1, b1, W2, b2, _ = family.blocks(params)
+        act = np.tanh(_mv(W1, args[0]) + b1)
+        value = _mv(W2, act) + b2
+    return (value, act) if keep else value
 
 
-def grad_bridge(family: BridgeFamily, params, args, cot) -> np.ndarray:
+def grad_bridge(family: BridgeFamily, params, args, cot, act=None) -> np.ndarray:
     """The parameter gradient of `cot . eval_bridge`, shape (...,
-    param_count), whose entries for pad parameters are exactly zero."""
+    param_count), whose entries for pad parameters are exactly zero.
+    `act` is the activation `eval_bridge` kept at `args`, if at hand."""
     if family.kind == MLP1H:
-        act, dz = _mlp1h_back(family, params, args, cot)
+        act, dz = _mlp1h_back(family, params, args, cot, act)
         return family.pack(_outer(dz, args[0]), dz, _outer(cot, act), cot)
     return family.pack(*[_outer(cot, a) for a in args], cot)
 
 
-def grad_args(family: BridgeFamily, params, args, cot) -> list[np.ndarray]:
-    """The gradients of `cot . eval_bridge` wrt each argument."""
+def grad_args(family: BridgeFamily, params, args, cot, act=None) -> list[np.ndarray]:
+    """The gradients of `cot . eval_bridge` wrt each argument; `act` as
+    for `grad_bridge`."""
     if family.kind == MLP1H:
-        _, dz = _mlp1h_back(family, params, args, cot)
+        _, dz = _mlp1h_back(family, params, args, cot, act)
         return [_mv(family.blocks(params)[0].T, dz)]
     # an affine layout starts with the matrix of each argument
     return [_mv(M.T, cot) for M in family.blocks(params)[:family.arity]]
 
 
-def _mlp1h_back(family: BridgeFamily, params, args, cot):
-    """(act, dz): the hidden activation and the cotangent at its input."""
+def _mlp1h_back(family: BridgeFamily, params, args, cot, act):
+    """(act, dz): the hidden activation, computed when `act` is None, and
+    the cotangent at its input."""
     W1, b1, W2, _, _ = family.blocks(params)
-    act = np.tanh(_mv(W1, args[0]) + b1)
+    if act is None:
+        act = np.tanh(_mv(W1, args[0]) + b1)
     return act, _mv(W2.T, cot) * (1.0 - act * act)

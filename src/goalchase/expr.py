@@ -19,7 +19,10 @@ Goal text may nest at most `MAX_DEPTH` Compose and Apply levels deep
 
 Trees are evaluated through a flat tape (`compile_tape`), built once per
 goal list, that runs a batch of probes forward (`run_forward`) and back
-(`run_reverse`); `vjp_expr` is its one-tree, one-vector view.
+(`run_reverse`); `vjp_expr` is its one-tree, one-vector view.  The tape
+runs each distinct op once, computes argument cotangents only where read,
+and keeps mlp1h's activation for the reverse pass; each Apply keeps its
+own reverse step, so gradients sum in the order of a walk of the trees.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -238,76 +242,90 @@ def parse_sequence(seq: tuple, arities) -> object:
 Tape = namedtuple("Tape", ["ops", "outputs", "steps"])
 
 
-def compile_tape(trees) -> Tape:
+def compile_tape(trees, probe_grads=False) -> Tape:
     """Compile `trees` into one tape (ops, outputs, steps).
 
     Value register 0 holds the probes and op k, (slot, argument registers),
-    writes register k + 1; `outputs` are the trees' value registers.  The
-    reverse `steps` replay the pullback order (an Apply, then its children
-    in tuple order; a Compose's outer side, then its inner) on cotangent
-    registers, k holding the seed of tree k.  Step (op, cot) appends the
-    argument cotangents of op `op` at register `cot`; (None, regs) appends
-    0 + regs[0] + regs[1] ..., an Apply's gradient wrt its probe.
+    writes register k + 1; an Apply whose (slot, argument registers)
+    recur reuses the op, and `outputs` are the trees' value registers.
+    The reverse `steps` replay the pullback order (an Apply, then its
+    children in tuple order; a Compose's outer side, then its inner) on
+    cotangent registers, k holding the seed of tree k.  Step (op, cot,
+    live) adds op `op`'s parameter gradient row at register `cot` and,
+    when `live`, appends its argument cotangents; (None, regs, True)
+    appends 0 + regs[0] + regs[1] ..., an Apply's gradient wrt its probe.
+    A step is live only when a later step reads what it appends, and
+    each tree's gradient wrt the probes comes last only if `probe_grads`.
     """
-    ops, steps, fresh = [], [], itertools.count(len(trees))
+    ops, steps, fresh = {}, [], itertools.count(len(trees))
     emitted = [_emit(tree, 0, ops) for tree in trees]
     for k, (_, back) in enumerate(emitted):
-        back(k, steps, fresh)
+        back(k, probe_grads, steps, fresh)
     return Tape(tuple(ops), tuple(r for r, _ in emitted), tuple(steps))
 
 
 def _emit(tree, reg, ops):
-    """Append the ops of `tree` at value register `reg` to `ops`.  Return its
-    value register and back(cot, steps, fresh), which appends its steps at
-    cotangent register `cot`, numbering new registers from `fresh`, and
-    returns the register of its gradient wrt its probe."""
+    """Add the ops of `tree` at value register `reg` to the dict `ops`
+    ((slot, argument registers) -> op number).  Return its value register
+    and back(cot, want, steps, fresh), which appends its steps at cotangent
+    register `cot`, numbering new registers from `fresh`, and returns the
+    register of its gradient wrt its probe if `want`, else None."""
     if isinstance(tree, Identity):
-        return reg, lambda cot, steps, fresh: cot
+        return reg, lambda cot, want, steps, fresh: cot
     if isinstance(tree, Apply):
         kids = [_emit(c, reg, ops) for c in tree.children]
-        ops.append((tree.slot, tuple(r for r, _ in kids)))
-        op = len(ops) - 1
+        op = ops.setdefault((tree.slot, tuple(r for r, _ in kids)), len(ops))
+        # an argument's cotangent is read by its steps, or an Identity's by want
+        read = not all(isinstance(c, Identity) for c in tree.children)
 
-        def back(cot, steps, fresh):
-            steps.append((op, cot))
-            gargs = [next(fresh) for _ in kids]
-            steps.append((None, tuple(kb(g, steps, fresh)
-                                      for (_, kb), g in zip(kids, gargs))))
-            return next(fresh)
+        def back(cot, want, steps, fresh):
+            steps.append((op, cot, want or read))
+            gargs = [next(fresh) for _ in kids] if want or read else []
+            regs = tuple(kb(g, want, steps, fresh) for (_, kb), g in zip(kids, gargs))
+            if want:
+                steps.append((None, regs, True))
+                return next(fresh)
 
-        return len(ops), back
+        return op + 1, back
     inner, back_inner = _emit(tree.inner, reg, ops)
     value, back_outer = _emit(tree.outer, inner, ops)
-    return value, lambda cot, steps, fresh: back_inner(
-        back_outer(cot, steps, fresh), steps, fresh)
+    read = not isinstance(tree.inner, Identity)
+    return value, lambda cot, want, steps, fresh: back_inner(
+        back_outer(cot, want or read, steps, fresh), want, steps, fresh)
 
 
-def run_forward(tape: Tape, families, slots, probes) -> list:
-    """The value registers of `tape` at `probes`, an array (..., m)."""
-    values = [probes]
+def run_forward(tape: Tape, families, slots, probes) -> tuple:
+    """(value registers, kept activations) of `tape` at `probes`, an
+    array (..., m); op k keeps the `act` of its `eval_bridge` call."""
+    values, acts = [probes], []
     for slot, args in tape.ops:
-        values.append(eval_bridge(families[slot], slots[slot],
-                                  [values[r] for r in args]))
-    return values
+        value, act = eval_bridge(families[slot], slots[slot],
+                                 [values[r] for r in args], True)
+        values.append(value)
+        acts.append(act)
+    return values, acts
 
 
-def run_reverse(tape: Tape, families, slots, values, seeds, grads) -> list:
+def run_reverse(tape: Tape, families, slots, forward, seeds, grads) -> list:
     """Add the per-slot gradients of sum_k seeds[k] . tree_k into `grads`
-    and return the cotangent registers; `values` are from `run_forward`.
+    and return the cotangent registers; `forward` is from `run_forward`.
     One `grad_bridge` call takes all rows of a slot, added in turn to its
     entry in `grads`: probe-major, then in step order."""
-    cots, rows = list(seeds), {}
-    for op, regs in tape.steps:
+    (values, acts), cots, rows = forward, list(seeds), {}
+    for op, regs, live in tape.steps:
         if op is None:
             cots.append(sum((cots[r] for r in regs), 0.0))
             continue
         slot, args = tape.ops[op]
         xs = [values[r] for r in args]
-        cots.extend(grad_args(families[slot], slots[slot], xs, cots[regs]))
-        rows.setdefault(slot, []).append((*xs, cots[regs]))
+        if live:
+            cots.extend(grad_args(families[slot], slots[slot], xs, cots[regs],
+                                  acts[op]))
+        rows.setdefault(slot, []).append((*xs, cots[regs], acts[op]))
     for slot, contributions in rows.items():
-        *xs, cot = [np.array(c) for c in zip(*contributions)]
-        gp = grad_bridge(families[slot], slots[slot], xs, cot)
+        *xs, cot, act = zip(*contributions)
+        gp = grad_bridge(families[slot], slots[slot], [np.array(x) for x in xs],
+                         np.array(cot), None if act[0] is None else np.array(act))
         # rows to probe-major order; add.accumulate adds them one by one
         gp = gp.swapaxes(0, -2).reshape(-1, gp.shape[-1])
         grads[slot] = np.add.accumulate(np.concatenate([grads[slot][None], gp]))[-1]
@@ -323,11 +341,11 @@ def vjp_expr(tree, families, slots, d):
     `pullback(cot, grads)` adds the per-slot gradients of `cot . value`
     into the list `grads` and returns the gradient with respect to `d`.
     """
-    tape = compile_tape([tree])
-    values = run_forward(tape, families, slots, d)
-    # a tree's root op comes last, and so does the step of its probe gradient
-    return values[-1], lambda cot, grads: run_reverse(
-        tape, families, slots, values, [cot], grads)[-1]
+    tape = compile_tape([tree], True)
+    forward = run_forward(tape, families, slots, d)
+    # the step of the root's probe gradient comes last
+    return forward[0][tape.outputs[0]], lambda cot, grads: run_reverse(
+        tape, families, slots, forward, [cot], grads)[-1]
 
 
 def tree_depth(tree) -> int:
@@ -358,8 +376,12 @@ class EquationPairList:
 
     pairs: tuple = ()
 
+    @cached_property
+    def _text(self) -> tuple:
+        return tuple((seq_to_text(l), seq_to_text(r)) for l, r in self.pairs)
+
     def to_json(self) -> list:
-        return [[seq_to_text(l), seq_to_text(r)] for l, r in self.pairs]
+        return [list(pair) for pair in self._text]
 
     @classmethod
     def from_json(cls, obj) -> "EquationPairList":

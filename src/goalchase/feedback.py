@@ -41,11 +41,11 @@ def compile_pairs(cpair: EquationPairList, families) -> list:
 
 
 def _forward(cpair: EquationPairList, families, slots, probes) -> tuple:
-    """(tape, value registers, residuals er_k) of the goals at `probes`."""
+    """(tape, `run_forward` of it, residuals er_k) of the goals at `probes`."""
     tape = _compile_cached(cpair, tuple(f.arity for f in families))
-    values = run_forward(tape, families, slots, probes)
-    sides = iter(tape.outputs)
-    return tape, values, [values[l] - values[r] for l, r in zip(sides, sides)]
+    forward = run_forward(tape, families, slots, probes)
+    values, sides = forward[0], iter(tape.outputs)
+    return tape, forward, [values[l] - values[r] for l, r in zip(sides, sides)]
 
 
 def feedback_error(cpair: EquationPairList, families, slots, d) -> list:
@@ -63,7 +63,7 @@ def evaluate(cpair: EquationPairList, families, slots, probes):
     values, without numpy warnings."""
     batch, total = np.array(probes, dtype=float), 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        tape, values, ers = _forward(cpair, families, slots, batch)
+        tape, forward, ers = _forward(cpair, families, slots, batch)
         for p in range(len(batch)):
             for er in ers:
                 total += float(er[p] @ er[p])
@@ -72,7 +72,7 @@ def evaluate(cpair: EquationPairList, families, slots, probes):
         grads = [np.zeros_like(s) for s in slots]
         cots = [2.0 / len(batch) * er for er in ers]
         with np.errstate(over="ignore", invalid="ignore"):
-            run_reverse(tape, families, slots, values,
+            run_reverse(tape, families, slots, forward,
                         [s for c in cots for s in (c, -c)], grads)
         return grads
 

@@ -3,6 +3,8 @@
 Generators are never stored on state objects; instead the PCG64 state is
 round-tripped through a uint64 word vector so states stay plain values
 and every draw sequence is reproducible from the words alone.
+`rng_from_words` re-seats one module-level bit generator, so the generator
+it returns is valid only until its next call.
 """
 
 from __future__ import annotations
@@ -37,17 +39,20 @@ def rng_to_words(gen: np.random.Generator) -> np.ndarray:
     return np.array(words, dtype=np.uint64)
 
 
+# the one bit generator `rng_from_words` re-seats (a constant seed draws no entropy)
+_BIT_GENERATOR = np.random.PCG64(0)
+
+
 def rng_from_words(words: np.ndarray) -> np.random.Generator:
+    """A generator at the state `words`, valid until the next call."""
     words = np.asarray(words, dtype=np.uint64)
     if words.shape != (WORD_COUNT,):
         raise ValueError(f"expected {WORD_COUNT} state words, got {words.shape}")
     w = [int(x) for x in words]
-    # a constant seed skips drawing OS entropy; the state is replaced below
-    bg = np.random.PCG64(0)
-    bg.state = {
+    _BIT_GENERATOR.state = {
         "bit_generator": "PCG64",
         "state": {"state": (w[0] << 64) | w[1], "inc": (w[2] << 64) | w[3]},
         "has_uint32": w[4],
         "uinteger": w[5],
     }
-    return np.random.Generator(bg)
+    return np.random.Generator(_BIT_GENERATOR)

@@ -98,9 +98,14 @@ def test_compile_cache_keys_on_arities():
     cpair = pairs_of(["[0,1]", "[1,0]"])
     fam_unary = [BridgeFamily(AFFINE1, 2), BridgeFamily(AFFINE1, 2)]
     fam_binary = [BridgeFamily(AFFINE1, 2), BridgeFamily(AFFINE2, 2)]
-    compile_pairs(cpair, fam_unary)
+    feedback._compile_cached.cache_clear()
+    tape = feedback._compile_cached(cpair, tuple(f.arity for f in fam_unary))
+    assert feedback._compile_cached(cpair, (1, 1)) is tape
+    # the same goal list under another arity table is another key
     with pytest.raises(ArityError):
-        compile_pairs(cpair, fam_binary)
+        feedback._compile_cached(cpair, tuple(f.arity for f in fam_binary))
+    info = feedback._compile_cached.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
 
 
 def test_compile_cache_is_the_only_one(monkeypatch):
@@ -163,10 +168,10 @@ def _apply_nodes(tree):
     return 0
 
 
-def test_loss_gradients_call_each_bridge_once_per_apply_node(monkeypatch):
-    # the probes run as one batch: per evaluation, eval_bridge and grad_args
-    # run once per Apply node and grad_bridge once per slot, whatever the
-    # probe count
+def test_loss_gradients_call_bridges_once_per_op_live_step_and_slot(monkeypatch):
+    # the probes run as one batch: per evaluation, eval_bridge runs once per
+    # distinct (slot, arguments), grad_args once per live reverse step and
+    # grad_bridge once per slot, whatever the probe count
     calls = dict.fromkeys(("eval_bridge", "grad_args", "grad_bridge"), 0)
 
     def counting(name, fn):
@@ -183,10 +188,16 @@ def test_loss_gradients_call_each_bridge_once_per_apply_node(monkeypatch):
     probes = [np.array([1.0, 2.0]), np.array([-0.5, 0.25]), np.ones(2)]
     nodes = sum(_apply_nodes(t) for pair in compile_pairs(cpair, families)
                 for t in pair)
+    # 16 Apply nodes.  Slot 2 at the probe, slot 1 at the probe and slot 1
+    # after it recur, so 13 are distinct.  Five steps are dead, as their
+    # only argument is the probe and nobody reads the gradient wrt it: the
+    # last factor of [..,1,2] and of [1,2,1], and the three unary arguments
+    # of the right side's binary slots
+    assert nodes == 16
     for count in (1, 3):
         calls.update(dict.fromkeys(calls, 0))
         loss_gradients(cpair, families, slots, probes[:count])
-        assert calls == {"eval_bridge": nodes, "grad_args": nodes,
+        assert calls == {"eval_bridge": 13, "grad_args": 11,
                          "grad_bridge": len(slots)}
 
 
