@@ -43,9 +43,8 @@ def _state_deviation(a: SlotState, b: SlotState) -> float:
         a.rng_words, b.rng_words
     ):
         return float("inf")
-    return _max_abs_deviation(
-        [*a.slots, *a.momentum, a.probe], [*b.slots, *b.momentum, b.probe]
-    )
+    return _max_abs_deviation([a.params, a.momentum, a.probe],
+                              [b.params, b.momentum, b.probe])
 
 
 def reduction_check(config: ScenarioConfig) -> dict:
@@ -106,7 +105,7 @@ def divergence_witness(
         if sinks is not None:
             sinks[0](sim_a)
             sinks[1](sim_b)
-        dev = _max_abs_deviation(sim_a.sub.slots, sim_b.sub.slots)
+        dev = _max_abs_deviation([sim_a.sub.params], [sim_b.sub.params])
         if first is None and dev > atol:
             first = sim_a.t
     found = first is not None and dev > threshold

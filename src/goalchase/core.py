@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -67,27 +69,28 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class SlotState:
-    """Controlled state: parameter slots plus controller-private values.
+    """Controlled state: all slots' parameters plus the controller's memory.
 
-    `slots` are the adjustable parameter vectors.  `momentum`, `rng_words`
-    and `probe_cursor` are the controller's own memory (velocity buffer and
-    probe-resampling PRNG words); `probe` is the current probe vector.
+    `params` holds every slot's entries back to back, in slot order, and
+    `slots` are views of its spans between consecutive `bounds`.  The
+    velocity buffer `momentum` shares that layout; `rng_words` and
+    `probe_cursor` drive the probe, and `probe` is the current one.
     """
 
-    slots: list
-    momentum: list
+    params: np.ndarray
+    momentum: np.ndarray
+    bounds: tuple
     rng_words: np.ndarray
     probe: np.ndarray
     probe_cursor: int = 0
 
+    @cached_property
+    def slots(self) -> list:
+        return [self.params[lo:hi] for lo, hi in pairwise(self.bounds)]
+
     def copy(self) -> "SlotState":
-        return SlotState(
-            [s.copy() for s in self.slots],
-            [v.copy() for v in self.momentum],
-            self.rng_words.copy(),
-            self.probe.copy(),
-            self.probe_cursor,
-        )
+        return SlotState(self.params.copy(), self.momentum.copy(), self.bounds,
+                         self.rng_words.copy(), self.probe.copy(), self.probe_cursor)
 
 
 # --- configuration ---------------------------------------------------------
@@ -371,19 +374,16 @@ def config_from_json_str(text: str) -> ScenarioConfig:
 
 
 def init_state(config: ScenarioConfig) -> SlotState:
-    """Seeded initial state: slot entries uniform in [-0.5, 0.5], zero
-    momentum, probe taken from the probe set (or drawn) per probe_mode."""
+    """Seeded initial state: slot entries uniform in [-0.5, 0.5], drawn in
+    slot order, zero momentum, probe taken from the probe set (or drawn)."""
     gen = np.random.Generator(np.random.PCG64(config.init_seed))
-    slots = [
-        gen.uniform(-0.5, 0.5, size=fam.param_count)
-        for fam in config.slot_specs
-    ]
-    momentum = [np.zeros_like(s) for s in slots]
+    bounds = tuple(accumulate([f.param_count for f in config.slot_specs], initial=0))
+    params = gen.uniform(-0.5, 0.5, size=bounds[-1])
     if config.probe_mode == FIXED_SET:
         probe = config.probes[0].copy()
     else:
         probe = gen.uniform(-1.0, 1.0, size=config.m)
-    return SlotState(slots, momentum, rng_to_words(gen), probe)
+    return SlotState(params, np.zeros(bounds[-1]), bounds, rng_to_words(gen), probe)
 
 
 # --- records ----------------------------------------------------------------

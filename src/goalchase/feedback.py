@@ -100,17 +100,17 @@ def control_step(
 ) -> SlotState:
     """One controller tick: momentum descent along `grads`, then probe advance.
 
-    v' = mu v + g;  slots' = (1 - drift) slots - eta v'.  In fixed_set mode
+    v' = mu v + g;  params' = (1 - drift) params - eta v'.  In fixed_set mode
     the probe advances cyclically through `probes` and the PRNG words are
     left untouched; in resample mode a fresh probe is drawn from the words.
     """
-    for i, g in enumerate(grads):
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite gradient in slot {i}")
-    new_momentum = [mu * v + g for v, g in zip(state.momentum, grads)]
-    new_slots = [
-        (1.0 - drift) * s - eta * v for s, v in zip(state.slots, new_momentum)
-    ]
+    g = np.concatenate(grads)
+    finite = np.isfinite(g)
+    if not finite.all():
+        slot = np.searchsorted(state.bounds, np.argmin(finite), side="right") - 1
+        raise DivergenceError(f"non-finite gradient in slot {slot}")
+    momentum = mu * state.momentum + g
+    params = (1.0 - drift) * state.params - eta * momentum
     if probe_mode == FIXED_SET:
         cursor = (state.probe_cursor + 1) % len(probes)
         probe = np.asarray(probes[cursor], dtype=float).copy()
@@ -122,4 +122,4 @@ def control_step(
         cursor = 0
     else:
         raise ValueError(f"unknown probe_mode {probe_mode!r}")
-    return SlotState(new_slots, new_momentum, words, probe, cursor)
+    return SlotState(params, momentum, state.bounds, words, probe, cursor)

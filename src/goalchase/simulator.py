@@ -7,7 +7,8 @@ step, so the goal change precedes the parameter change it influences.
 Records are written every `log_every` steps plus immediately before and
 after every law event, and are strictly ordered by t with T = t // K.
 Each state is evaluated at most once, for its record and the step out of
-it; states are values, so never mutate a yielded state's slots in place.
+it; states are values, so never mutate a yielded state's flat `params`
+or its slots, which are views of them, in place.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ class SimState:
     sub: SlotState
     law: LawState
     t: int = 0
-    T: int = 0
 
     @cached_property
     def evaluation(self):
@@ -58,7 +58,7 @@ def step(sim: SimState) -> SimState:
     """One micro-step; fires the law first when the boundary is reached."""
     cfg = sim.config
     if _fires(sim.t, cfg.K):
-        sim = SimState(cfg, sim.sub, step_law(cfg.law, sim.law), sim.t, sim.T)
+        sim = SimState(cfg, sim.sub, step_law(cfg.law, sim.law), sim.t)
     try:
         sub = control_step(
             sim.sub, sim.evaluation[1](), cfg.probe_set(sim.sub),
@@ -66,8 +66,7 @@ def step(sim: SimState) -> SimState:
         )
     except DivergenceError as e:
         raise DivergenceError(f"{e} at step {sim.t + 1}", step=sim.t + 1) from e
-    t = sim.t + 1
-    return SimState(cfg, sub, sim.law, t, t // cfg.K)
+    return SimState(cfg, sub, sim.law, sim.t + 1)
 
 
 def iterate(config: ScenarioConfig, law_state: LawState | None = None):
@@ -100,7 +99,7 @@ def make_record(sim: SimState, macro: bool = False) -> TrajectoryRecord:
         snapshot = [[float(x) for x in s] for s in sim.sub.slots]
     return TrajectoryRecord(
         t=sim.t,
-        T=sim.T,
+        T=sim.t // cfg.K,
         loss=val,
         pairs=sim.law.cpair.to_json(),
         x_norms=norms,

@@ -1,10 +1,11 @@
-"""The benchmark's traced runs end in one strict JSON result line.
+"""The benchmark's runs end in one strict JSON result line.
 
 `perfbench/run.py --trace 1` finds the program's kernels by their module
 names and derives per-layer metrics from them, so a renamed or bypassed
-kernel, or a stray line on standard output, breaks the result.  Each
-workload runs on a copy of the sources, so nothing in the checkout is
-written.
+kernel, or a stray line on standard output, breaks the result.  The
+untraced path (`--trace 0`), which the end-to-end metrics come from, is
+held to the same result.  Each run works on a copy of the sources, so
+nothing in the checkout is written.
 """
 
 import json
@@ -15,7 +16,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("commute_log1", "walk_growth")
+# (workload, --trace)
+RUNS = (("commute_log1", "1"), ("walk_growth", "1"), ("deep_chain", "0"))
 
 
 def _reject(constant):
@@ -27,12 +29,12 @@ def test_traced_runs_print_a_strict_json_result(tmp_path):
         shutil.copytree(ROOT / name, tmp_path / name,
                         ignore=shutil.ignore_patterns("__pycache__", "out", "results"))
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
-    # the two workloads run side by side to keep the wall time down
-    procs = {w: subprocess.Popen(
+    # the runs go side by side to keep the wall time down
+    procs = {(w, trace): subprocess.Popen(
         [sys.executable, "perfbench/run.py", "--workload", w, "--seconds", "0.5",
-         "--trace", "1"], cwd=tmp_path, stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, text=True) for w in WORKLOADS}
-    for workload, proc in procs.items():
+         "--trace", trace], cwd=tmp_path, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True) for w, trace in RUNS}
+    for (workload, trace), proc in procs.items():
         out, err = proc.communicate(timeout=300)
         assert proc.returncode == 0, err[-2000:]
         result = json.loads(out.splitlines()[-1], parse_constant=_reject)
@@ -41,7 +43,7 @@ def test_traced_runs_print_a_strict_json_result(tmp_path):
                if isinstance(m["value"], bool)
                or not isinstance(m["value"], (int, float))
                or not math.isfinite(m["value"])}
-        assert result["metrics"] and not bad, (workload, bad)
+        assert result["metrics"] and not bad, (workload, trace, bad)
         if workload == "walk_growth":
             for op in ("eval", "grad"):
                 assert result["metrics"][f"bridge.{op}.calls.mlp1h"]["value"] > 0

@@ -242,8 +242,44 @@ def test_init_state_shapes_and_ranges():
     state = init_state(config)
     assert [s.shape for s in state.slots] == [(6,), (6,)]
     assert all(np.all(np.abs(s) <= 0.5) for s in state.slots)
-    assert all(np.array_equal(v, np.zeros(6)) for v in state.momentum)
+    assert np.array_equal(state.momentum, np.zeros(12))
     assert np.array_equal(state.probe, np.array([1.0, 0.0]))
+
+
+def _mixed_resample_config():
+    # three families of different sizes (6, 22 and 10 entries), resampled
+    # probes so the words after the slot draws are read too
+    return config_from_json(resample_obj(slots=[
+        {"kind": "affine1", "m": 2},
+        {"kind": "mlp1h", "m": 2, "hidden": 4},
+        {"kind": "affine2", "m": 2},
+    ]))
+
+
+def test_init_state_params_match_per_slot_draws():
+    config = _mixed_resample_config()
+    state = init_state(config)
+    gen = np.random.Generator(np.random.PCG64(config.init_seed))
+    draws = [gen.uniform(-0.5, 0.5, size=f.param_count)
+             for f in config.slot_specs]
+    probe = gen.uniform(-1.0, 1.0, size=config.m)
+    assert np.array_equal(state.params, np.concatenate(draws))
+    assert np.array_equal(state.probe, probe)
+    assert np.array_equal(state.rng_words, rng_to_words(gen))
+
+
+def test_init_state_slots_are_views_of_params_in_slot_order():
+    config = _mixed_resample_config()
+    state = init_state(config)
+    assert state.momentum.shape == state.params.shape == (38,)
+    start = 0
+    for fam, slot in zip(config.slot_specs, state.slots, strict=True):
+        assert slot.shape == (fam.param_count,)
+        assert np.shares_memory(slot, state.params)
+        assert np.array_equal(slot, state.params[start:start + fam.param_count])
+        start += fam.param_count
+    assert start == state.params.size
+    assert state.slots is state.slots  # built once per state
 
 
 def test_init_state_seed_changes_slots():

@@ -230,13 +230,14 @@ def test_control_step_momentum_recurrence():
         s1, loss_gradients(cpair, config.slot_specs, s1.slots, config.probes),
         config.probes, eta, mu,
     )
-    v1 = [mu * v + g for v, g in zip(state.momentum, g0)]
+    v0 = np.split(state.momentum, state.bounds[1:-1])
+    v1 = [mu * v + g for v, g in zip(v0, g0)]
     x1 = [s - eta * v for s, v in zip(state.slots, v1)]
     g1 = loss_gradients(cpair, config.slot_specs, x1, config.probes)
     v2 = [mu * v + g for v, g in zip(v1, g1)]
     x2 = [s - eta * v for s, v in zip(x1, v2)]
     assert all(np.array_equal(a, b) for a, b in zip(s1.slots, x1))
-    assert all(np.array_equal(a, b) for a, b in zip(s2.momentum, v2))
+    assert np.array_equal(s2.momentum, np.concatenate(v2))
     assert all(np.array_equal(a, b) for a, b in zip(s2.slots, x2))
 
 
@@ -280,6 +281,27 @@ def test_control_step_does_not_mutate_input():
     )
     assert np.array_equal(state.probe, frozen.probe)
     assert state.probe_cursor == frozen.probe_cursor
+
+
+def test_control_step_result_shares_no_memory_with_its_input():
+    config, state, cpair = _control_setup()
+    grads = loss_gradients(cpair, config.slot_specs, state.slots, config.probes)
+    new = control_step(state, grads, config.probes, 0.05, 0.5)
+    old = [state.params, state.momentum, *state.slots]
+    for a in (new.params, new.momentum, *new.slots):
+        assert not any(np.shares_memory(a, b) for b in old + list(grads))
+    assert all(np.shares_memory(s, new.params) for s in new.slots)
+
+
+def test_non_finite_gradient_names_the_first_bad_slot():
+    config, state, _ = _control_setup()
+    # flat entries 5 and 6 are the last of slot 0 and the first of slot 1
+    for bad, slot in (([5], 0), ([6], 1), ([11], 1), ([6, 5], 0)):
+        flat = np.zeros(12)
+        flat[bad] = np.inf
+        grads = np.split(flat, [6])
+        with pytest.raises(DivergenceError, match=f"in slot {slot}$"):
+            control_step(state, grads, config.probes, 0.05)
 
 
 def test_descent_reduces_loss():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from goalchase.expr import EquationPairList, parse_sequence
+from goalchase.expr import MAX_DEPTH, EquationPairList, parse_sequence, tree_depth
 from goalchase.goallaw import (
     GRAMMAR_WALK,
     IDENTITY_LAW,
@@ -198,6 +198,21 @@ def test_walk_stall_warns_and_keeps_goals():
     assert not np.array_equal(nxt.rng_words, state.rng_words)
     with pytest.warns(LawStallWarning):
         step_law(spec, nxt)
+
+
+def test_walk_keeps_goals_within_the_depth_bound():
+    # an append deepens its side by one level: from 127 factors each side
+    # takes one more, then every append would pass the bound and is redrawn
+    arities = (1, 1)
+    chain = "[" + ",".join(["0"] * (MAX_DEPTH - 1)) + "]"
+    spec = walk_spec(seed=3, weights=(0.0, 1.0, 0.0, 0.0),
+                     pairs=plist([[chain, chain]]), arities=arities)
+    state = initial_law_state(spec)
+    with pytest.warns(LawStallWarning):
+        for _ in range(4):
+            state = step_law(spec, state)
+    for side in state.cpair.pairs[0]:
+        assert tree_depth(parse_sequence(side, arities)) == MAX_DEPTH
 
 
 def test_law_state_copy_is_independent():
