@@ -122,21 +122,16 @@ class BridgeFamily:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BridgeFamily":
-        known = {"kind", "m", "arity", "hidden", "pad"}
+        known = {"kind", "m", "hidden", "pad"}
         extra = set(obj) - known
         if extra:
             raise ValueError(f"unknown slot keys {sorted(extra)}")
-        fam = cls(
+        return cls(
             kind=obj.get("kind", ""),
             m=obj.get("m", 0),
             hidden=obj.get("hidden", 0),
             pad=obj.get("pad", 0),
         )
-        if "arity" in obj and obj["arity"] != fam.arity:
-            raise ValueError(
-                f"arity {obj['arity']} inconsistent with kind {fam.kind!r}"
-            )
-        return fam
 
 
 def _mv(M, X):

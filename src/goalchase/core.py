@@ -19,8 +19,7 @@ from itertools import accumulate, pairwise
 import numpy as np
 
 from .bridge import BridgeFamily
-from .expr import (MAX_DEPTH, EquationPairList, GrammarError, parse_sequence,
-                   seq_to_text, tree_depth)
+from .expr import EquationPairList, GrammarError, parse_sequence, seq_to_text
 from .goallaw import GRAMMAR_WALK, IDENTITY_LAW, LAW_KINDS, SCHEDULE, LawSpec
 from .prng import rng_to_words
 
@@ -87,10 +86,6 @@ class SlotState:
     @cached_property
     def slots(self) -> list:
         return [self.params[lo:hi] for lo, hi in pairwise(self.bounds)]
-
-    def copy(self) -> "SlotState":
-        return SlotState(self.params.copy(), self.momentum.copy(), self.bounds,
-                         self.rng_words.copy(), self.probe.copy(), self.probe_cursor)
 
 
 # --- configuration ---------------------------------------------------------
@@ -205,8 +200,8 @@ def _require_float(obj, key, default=None):
 
 
 def parse_pairs(obj, key: str, arities, law_kind=None) -> EquationPairList:
-    """Goal pairs from JSON, each side checked against the arity table and
-    the depth bound `MAX_DEPTH`."""
+    """Goal pairs from JSON, each side one that `expr.parse_sequence`
+    accepts under the arity table."""
     if not isinstance(obj, list):
         raise ConfigError(key, f"expected a list of [left, right] pairs")
     try:
@@ -216,14 +211,11 @@ def parse_pairs(obj, key: str, arities, law_kind=None) -> EquationPairList:
     for k, (left, right) in enumerate(pairs.pairs):
         for side, seq in (("0", left), ("1", right)):
             try:
-                depth = tree_depth(parse_sequence(seq, arities))
+                parse_sequence(seq, arities)
             except GrammarError as e:
                 raise ConfigError(
                     f"{key}[{k}][{side}]", f"{seq_to_text(seq)}: {e}"
                 ) from e
-            if depth > MAX_DEPTH:
-                raise ConfigError(f"{key}[{k}][{side}]", f"{depth} levels "
-                                  f"deep, more than the bound {MAX_DEPTH}")
     # a grammar walk mutates an existing pair, so it needs at least one
     if law_kind == GRAMMAR_WALK and not pairs.pairs:
         raise ConfigError(key, "grammar_walk needs at least one pair")
@@ -299,7 +291,7 @@ def config_from_json(obj: dict) -> ScenarioConfig:
         if not isinstance(spec, dict):
             raise ConfigError(f"slots[{i}]", f"expected an object, got {spec!r}")
         require_int(spec, "m", path=f"slots[{i}].m")
-        for key in ("hidden", "pad", "arity"):
+        for key in ("hidden", "pad"):
             if key in spec:
                 require_int(spec, key, path=f"slots[{i}].{key}")
         try:

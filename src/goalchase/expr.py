@@ -14,8 +14,9 @@ argument tuples (tuples of sub-sequences), so ``[0,(1,[2,1])]`` is
 Text form: ``[1,2]`` composes slot 1 after slot 2, ``[0,(1,2)]`` applies
 slot 0 to the outputs of slots 1 and 2, ``[]`` is the identity.
 
-Goal text may nest at most `MAX_DEPTH` Compose and Apply levels deep
-(`tree_depth`); `core.parse_pairs` enforces it where goals enter.
+A valid goal side is exactly a sequence `parse_sequence` accepts: it
+checks the grammar and, counting Compose and Apply levels as it builds the
+tree, rejects a side more than `MAX_DEPTH` levels deep.
 
 Trees are evaluated through a flat tape (`compile_tape`), built once per
 goal list, that runs a batch of probes forward (`run_forward`) and back
@@ -196,8 +197,15 @@ def parse_sequence(seq: tuple, arities) -> object:
     `arities` maps slot index to declared arity.  Factors are read left to
     right and chained by composition, leftmost outermost; an arity-2 index
     binds the 2-tuple that follows it, and each tuple entry is parsed as a
-    full sub-sequence.
+    full sub-sequence.  Raises GrammarError for a sequence the grammar
+    rejects or one more than `MAX_DEPTH` levels deep.
     """
+    return _parse(seq, arities)[0]
+
+
+def _parse(seq: tuple, arities) -> tuple:
+    """(tree, depth) of `seq`: a Compose or Apply is one level deeper than
+    the deeper of its children, an Identity is 0 levels deep."""
     factors = []
     k = 0
     while k < len(seq):
@@ -212,7 +220,7 @@ def parse_sequence(seq: tuple, arities) -> object:
             )
         arity = arities[i]
         if arity == 1:
-            factors.append(Apply(i, (IDENTITY,)))
+            factors.append((Apply(i, (IDENTITY,)), 1))
             k += 1
             continue
         if k + 1 >= len(seq) or not isinstance(seq[k + 1], tuple):
@@ -225,15 +233,18 @@ def parse_sequence(seq: tuple, arities) -> object:
             raise ArityError(
                 f"slot {i} takes {arity} arguments, tuple has {len(tup)}"
             )
-        kids = tuple(parse_sequence(c, arities) for c in tup)
-        factors.append(Apply(i, kids))
+        kids = [_parse(c, arities) for c in tup]
+        factors.append((Apply(i, tuple(t for t, _ in kids)),
+                        1 + max(d for _, d in kids)))
         k += 2
     if not factors:
-        return IDENTITY
-    tree = factors[-1]
-    for f in reversed(factors[:-1]):
-        tree = Compose(f, tree)
-    return tree
+        return IDENTITY, 0
+    tree, depth = factors[-1]
+    for f, d in reversed(factors[:-1]):
+        tree, depth = Compose(f, tree), 1 + max(d, depth)
+    if depth > MAX_DEPTH:
+        raise GrammarError(f"{depth} levels deep, more than the bound {MAX_DEPTH}")
+    return tree, depth
 
 
 # --- the tape: trees compiled once, run over a batch of probes -----------
@@ -346,17 +357,6 @@ def vjp_expr(tree, families, slots, d):
     # the step of the root's probe gradient comes last
     return forward[0][tape.outputs[0]], lambda cot, grads: run_reverse(
         tape, families, slots, forward, [cot], grads)[-1]
-
-
-def tree_depth(tree) -> int:
-    """The Compose and Apply levels on the longest path down `tree`, counted
-    level by level without recursion."""
-    depth, level = 0, [tree]
-    while level := [kid for node in level if not isinstance(node, Identity)
-                    for kid in (node.children if isinstance(node, Apply)
-                                else (node.outer, node.inner))]:
-        depth += 1
-    return depth
 
 
 def node_count(tree) -> int:

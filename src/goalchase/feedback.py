@@ -3,7 +3,8 @@
 For goal pair k the residual at probe d is er_k(d) = left_k(d) - right_k(d);
 the loss averages the squared residual norms over the probe set; `evaluate`
 gives it and its gradient from one run of the goals' tape, compiled once
-per goal list (`expr.compile_tape`) and cached without its trees.  A
+per goal list (`expr.compile_tape`) and cached without its trees for the
+64 lists used last.  A
 controller tick descends a given gradient with momentum and an optional
 parameter leak, then advances the probe: it never evaluates goals, and
 nothing here sees the law's state.
@@ -29,7 +30,7 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=64)
 def _compile_cached(cpair: EquationPairList, arities: tuple) -> Tape:
     """The goals' tape: left and right side of each pair in turn."""
     return compile_tape([t for pair in cpair.compile(arities) for t in pair])

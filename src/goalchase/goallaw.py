@@ -7,7 +7,7 @@ goal stream it produces is decided before the controller ever runs.
 Kinds: "identity" keeps the goals fixed, "schedule" cycles through a
 program of goal lists, "grammar_walk" applies one seeded random mutation
 per step, resampling (up to 32 attempts) any mutation that would produce
-a sequence the grammar rejects or deeper than `expr.MAX_DEPTH` levels.
+a side `expr.parse_sequence` rejects: one off the grammar or too deep.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import (MAX_DEPTH, EquationPairList, GrammarError, parse_sequence,
-                   tree_depth)
+from .expr import EquationPairList, GrammarError, parse_sequence
 from .prng import new_words, rng_from_words, rng_to_words
 
 IDENTITY_LAW = "identity"
@@ -157,9 +156,10 @@ def _step_grammar_walk(spec: LawSpec, state: LawState, n: int) -> LawState:
 
 def _parses(seq: tuple, arities) -> bool:
     try:
-        return tree_depth(parse_sequence(seq, arities)) <= MAX_DEPTH
+        parse_sequence(seq, arities)
     except GrammarError:
         return False
+    return True
 
 
 def _mutate(gen, pair, kind, arities):

@@ -131,19 +131,16 @@ def recorder(records: list, out=None):
     return record
 
 
-def run(
-    config: ScenarioConfig, jsonl_path=None, law_state: LawState | None = None
-) -> tuple[list, SimState]:
+def run(config: ScenarioConfig, jsonl_path=None) -> tuple[list, SimState]:
     """Run `config.steps` micro-steps, returning (records, final SimState).
 
     When `jsonl_path` is given, every record is written as soon as it is
     made, so a diverging run still leaves the partial trajectory on disk.
-    `law_state` is passed on to `iterate`.
     """
     records: list[TrajectoryRecord] = []
     with open(jsonl_path, "w") if jsonl_path is not None else nullcontext() as out:
         record = recorder(records, out)
-        for sim in iterate(config, law_state):
+        for sim in iterate(config):
             record(sim)
     return records, sim
 

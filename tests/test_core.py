@@ -121,11 +121,16 @@ def test_slot_spec_errors_name_the_slot():
     obj["slots"] = []
     assert err(obj).key == "slots"
     # integer fields are never coerced: "2", 2.9 and true are all rejected
-    bad = [("m", "2"), ("m", 2.9), ("pad", True), ("hidden", 1.5), ("arity", "1")]
+    bad = [("m", "2"), ("m", 2.9), ("pad", True), ("hidden", 1.5)]
     for key, val in bad:
         obj = commute_obj()
         obj["slots"][1][key] = val
         assert err(obj).key == f"slots[1].{key}"
+    # the kind implies the arity, so there is no arity key
+    obj = commute_obj()
+    obj["slots"][1]["arity"] = 1
+    assert err(obj).key == "slots[1]"
+    assert "unknown slot keys ['arity']" in str(err(obj))
     obj = commute_obj()
     del obj["slots"][0]["m"]
     assert err(obj).key == "slots[0].m"
@@ -296,18 +301,6 @@ def test_init_state_resample_draws_probe():
     again = init_state(config)
     assert np.array_equal(state.probe, again.probe)
     assert np.array_equal(state.rng_words, again.rng_words)
-
-
-def test_state_copy_is_deep():
-    config = config_from_json(commute_obj())
-    state = init_state(config)
-    dup = state.copy()
-    dup.slots[0][0] += 1.0
-    dup.probe[0] += 1.0
-    dup.rng_words[0] += np.uint64(1)
-    assert state.slots[0][0] != dup.slots[0][0]
-    assert state.probe[0] != dup.probe[0]
-    assert state.rng_words[0] != dup.rng_words[0]
 
 
 # --- trajectory records ----------------------------------------------------------

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from goalchase import expr
 from goalchase.bridge import AFFINE1, AFFINE2, BridgeFamily
 from goalchase.expr import (
     IDENTITY,
+    MAX_DEPTH,
     Apply,
     ArityError,
     Compose,
@@ -16,6 +18,8 @@ from goalchase.expr import (
     seq_to_text,
     vjp_expr,
 )
+
+from test_expr_oracle import ARITIES, walked_goals
 
 UNARY3 = (1, 1, 1)
 MIXED3 = (2, 1, 1)  # slot 0 takes two arguments
@@ -99,6 +103,80 @@ def test_out_of_range_index_rejected():
     (s,) = seqs("[7]")
     with pytest.raises(GrammarError):
         parse_sequence(s, UNARY3)
+
+
+def flat_chain(levels):
+    """`levels` unary factors: `levels` levels deep."""
+    return (1,) * levels
+
+
+def wrapped(seq, times):
+    """`seq` as the first argument of slot 0 (binary), `times` times over."""
+    for _ in range(times):
+        seq = (0, (seq, (1,)))
+    return seq
+
+
+def nested_applications(levels):
+    """`levels` - 1 binary applications around one unary factor."""
+    return wrapped((1,), levels - 1)
+
+
+def chain_to_nested(levels):
+    """Unary factors ahead of a last factor that carries the nesting."""
+    head = levels // 2
+    return flat_chain(head) + nested_applications(levels - head)
+
+
+def reference_depth(tree):
+    """The Compose and Apply levels on the longest path down `tree`."""
+    depth, level = 0, [tree]
+    while level := [kid for node in level if not isinstance(node, Identity)
+                    for kid in (node.children if isinstance(node, Apply)
+                                else (node.outer, node.inner))]:
+        depth += 1
+    return depth
+
+
+@pytest.mark.parametrize("shape", [flat_chain, nested_applications,
+                                   chain_to_nested])
+def test_parse_accepts_exactly_the_depth_bound(shape):
+    tree = parse_sequence(shape(MAX_DEPTH), MIXED3)
+    assert reference_depth(tree) == MAX_DEPTH
+    with pytest.raises(GrammarError, match="more than the bound"):
+        parse_sequence(shape(MAX_DEPTH + 1), MIXED3)
+
+
+def test_depth_bound_agrees_with_reference_walker_on_walked_goals(monkeypatch):
+    # each walked side, grown to around the bound by unary factors in front
+    # or by binary applications around it; its tree comes from a parse with
+    # the bound lifted, and the bounded parse accepts it iff the reference
+    # walker finds it at most MAX_DEPTH deep
+    def unbounded_tree(seq):
+        with monkeypatch.context() as m:
+            m.setattr(expr, "MAX_DEPTH", 10 * MAX_DEPTH)
+            return parse_sequence(seq, ARITIES)
+
+    def accepts(seq):
+        try:
+            parse_sequence(seq, ARITIES)
+        except GrammarError:
+            return False
+        return True
+
+    grow = [lambda seq, k: (1,) * k + seq, wrapped]
+    outcomes = set()
+    for law_seed in range(4):
+        for cpair in walked_goals(law_seed):
+            for seq in (side for pair in cpair.pairs for side in pair):
+                depth = reference_depth(unbounded_tree(seq))
+                for g in grow:
+                    for k in range(max(MAX_DEPTH - depth - 1, 0), MAX_DEPTH - depth + 2):
+                        grown = g(seq, k)
+                        within = reference_depth(unbounded_tree(grown)) <= MAX_DEPTH
+                        assert accepts(grown) == within, seq_to_text(grown)
+                        outcomes.add(within)
+    assert outcomes == {True, False}
 
 
 def test_text_errors():

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import warnings
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from goalchase.feedback import (
     loss,
     loss_gradients,
 )
+from goalchase.goallaw import LawStallWarning
+from goalchase.simulator import iterate
 
-from scenarios import commute_obj
+from scenarios import commute_obj, walk_obj
 
 
 def _oracle_setup():
@@ -130,6 +133,20 @@ def test_compile_cache_is_the_only_one(monkeypatch):
         evaluate(config.law.pairs, config.slot_specs, slots, config.probes)[1]()
         info = feedback._compile_cached.cache_info()
         assert (info.hits, info.misses, len(compiles)) == (n - 1, 1, 1)
+
+
+def test_compile_cache_holds_at_most_64_tapes():
+    # a K = 1 walk without wraps visits a new goal list on most steps
+    obj = walk_obj(K=1, steps=150, probes=[[1.0, 0.0]], law={
+        "kind": "grammar_walk", "pairs": [["[0]", "[1]"]], "law_seed": 3,
+        "mutation_weights": [1.0, 1.0, 1.0, 0.0]})
+    feedback._compile_cached.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LawStallWarning)
+        goals = {sim.law.cpair for sim in iterate(config_from_json(obj))}
+    info = feedback._compile_cached.cache_info()
+    assert len(goals) > 64 and info.misses > 64
+    assert info.currsize <= 64
 
 
 def test_loss_gradients_match_finite_differences():
@@ -257,8 +274,9 @@ def test_control_step_resample_draws_and_advances_words():
     config, state, cpair = _control_setup()
     grads = loss_gradients(cpair, config.slot_specs, state.slots, [state.probe])
     a = control_step(state, grads, [state.probe], 0.05, probe_mode="resample")
+    # init_state is deterministic, so this is an equal, separate state
     b = control_step(
-        state.copy(), grads, [state.probe], 0.05, probe_mode="resample"
+        init_state(config), grads, [state.probe], 0.05, probe_mode="resample"
     )
     assert np.array_equal(a.probe, b.probe)
     assert not np.array_equal(a.rng_words, state.rng_words)
@@ -272,7 +290,7 @@ def test_control_step_resample_draws_and_advances_words():
 
 def test_control_step_does_not_mutate_input():
     config, state, cpair = _control_setup()
-    frozen = state.copy()
+    frozen = init_state(config)  # equal to state, and separate from it
     grads = loss_gradients(cpair, config.slot_specs, state.slots, config.probes)
     control_step(state, grads, config.probes, 0.05, 0.5)
     assert all(np.array_equal(a, b) for a, b in zip(state.slots, frozen.slots))

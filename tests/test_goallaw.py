@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from goalchase.expr import MAX_DEPTH, EquationPairList, parse_sequence, tree_depth
+from goalchase.expr import MAX_DEPTH, EquationPairList, GrammarError, parse_sequence
 from goalchase.goallaw import (
     GRAMMAR_WALK,
     IDENTITY_LAW,
@@ -212,7 +212,9 @@ def test_walk_keeps_goals_within_the_depth_bound():
         for _ in range(4):
             state = step_law(spec, state)
     for side in state.cpair.pairs[0]:
-        assert tree_depth(parse_sequence(side, arities)) == MAX_DEPTH
+        assert len(side) == MAX_DEPTH
+        with pytest.raises(GrammarError, match="more than the bound"):
+            parse_sequence(side + (0,), arities)
 
 
 def test_law_state_copy_is_independent():

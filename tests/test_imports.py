@@ -1,8 +1,9 @@
 """Import hygiene of the package, checked with the standard library only.
 
 Each module must use every name it imports (the package `__init__` only
-re-exports, so it is exempt), every `__all__` entry must exist, and
-`simulator.iterate` is the one loop that calls `simulator.step`.
+re-exports, so it is exempt), every `__all__` entry must exist,
+`simulator.iterate` is the one loop that calls `simulator.step`, and
+`expr` alone decides how deep a goal side may be.
 """
 
 import ast
@@ -62,3 +63,14 @@ def test_only_iterate_calls_step():
                   if isinstance(n, ast.FunctionDef) and n.name == "iterate"]
     inside = {f"simulator:{node.lineno}" for node in step_calls(iterate)}
     assert len(inside) == 1 and calls == inside, sorted(calls - inside)
+
+
+def test_only_expr_names_the_depth_bound():
+    # `expr.parse_sequence` is the one check of a goal side's depth
+    names = {}
+    for name in MODULES + ["__init__"]:
+        for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())):
+            for attr in ("id", "attr", "name"):
+                names.setdefault(getattr(node, attr, None), set()).add(name)
+    assert names.get("MAX_DEPTH") == {"expr"}, names.get("MAX_DEPTH")
+    assert "tree_depth" not in names, names["tree_depth"]

@@ -16,6 +16,7 @@ from goalchase.simulator import (
     new_sim,
     pair_digest,
     record_to_json_line,
+    recorder,
     run,
     step,
     write_summary_csv,
@@ -146,6 +147,15 @@ def test_resample_mode_walks_the_probe():
     assert [tuple(r.d) for r in again] == ds
 
 
+def records_from(config, law_state):
+    """The records of a run of `config` from the initial `law_state`."""
+    records = []
+    record = recorder(records)
+    for sim in iterate(config, law_state):
+        record(sim)
+    return records
+
+
 def test_law_state_override_replaces_initial_goals():
     config = config_from_json(goal_switch_obj(steps=0))
     alt = LawState(
@@ -153,7 +163,7 @@ def test_law_state_override_replaces_initial_goals():
         program_counter=1,
     )
     base_records, _ = run(config)
-    alt_records, _ = run(config, law_state=alt)
+    alt_records = records_from(config, alt)
     assert base_records[0].pairs == [["[0,1]", "[1,0]"]]
     assert alt_records[0].pairs == [["[0,2]", "[2,0]"]]
     assert alt_records[0].x_norms == base_records[0].x_norms
@@ -162,7 +172,7 @@ def test_law_state_override_replaces_initial_goals():
 def test_law_state_override_does_not_alias_caller_state():
     config = config_from_json(goal_switch_obj(steps=3, K=1))
     alt = LawState(cpair=config.law.program[0], program_counter=0)
-    run(config, law_state=alt)
+    records_from(config, alt)
     assert alt.macro_count == 0 and alt.program_counter == 0
 
 
