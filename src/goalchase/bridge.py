@@ -38,6 +38,7 @@ __all__ = [
     "ShapeError",
     "eval_bridge",
     "grad_bridge",
+    "grad_args",
 ]
 
 # block shapes of each packed layout, given (m, hidden); the pad tail follows
@@ -107,10 +108,10 @@ class BridgeFamily:
 
     def pack(self, *blocks) -> np.ndarray:
         """Concatenate `blocks` (layout order, pad excluded; the last one a
-        vector) and a zero pad along the last axis, row by row."""
+        vector) and a zero pad, if any, along the last axis, row by row."""
         lead = blocks[-1].shape[:-1]
-        return np.concatenate([b.reshape(lead + (-1,)) for b in blocks]
-                              + [np.zeros(lead + (self.pad,))], axis=-1)
+        pad = [np.zeros(lead + (self.pad,))] if self.pad else []
+        return np.concatenate([b.reshape(lead + (-1,)) for b in blocks] + pad, axis=-1)
 
     def to_json(self) -> dict:
         obj = {"kind": self.kind, "m": self.m}

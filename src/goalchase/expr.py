@@ -22,8 +22,12 @@ Trees are evaluated through a flat tape (`compile_tape`), built once per
 goal list, that runs a batch of probes forward (`run_forward`) and back
 (`run_reverse`); `vjp_expr` is its one-tree, one-vector view.  The tape
 runs each distinct op once, computes argument cotangents only where read,
-and keeps mlp1h's activation for the reverse pass; each Apply keeps its
-own reverse step, so gradients sum in the order of a walk of the trees.
+and keeps mlp1h's activation for the reverse pass; a slot's gradient
+rows, one per Apply, come from a plan compiled with it, so gradients sum
+in the order of a walk of the trees.  A one-argument Apply's probe
+gradient aliases its argument's cotangent register; unlike a copy 0 + it,
+that can be a -0.0, but rows are linear in their cotangent and summed
+from +0.0, so the sign of a zero never reaches a gradient.
 """
 
 from __future__ import annotations
@@ -250,11 +254,11 @@ def _parse(seq: tuple, arities) -> tuple:
 # --- the tape: trees compiled once, run over a batch of probes -----------
 
 
-Tape = namedtuple("Tape", ["ops", "outputs", "steps"])
+Tape = namedtuple("Tape", ["ops", "outputs", "steps", "rows", "probe_grads"])
 
 
 def compile_tape(trees, probe_grads=False) -> Tape:
-    """Compile `trees` into one tape (ops, outputs, steps).
+    """Compile `trees` into one tape (ops, outputs, steps, rows, probe_grads).
 
     Value register 0 holds the probes and op k, (slot, argument registers),
     writes register k + 1; an Apply whose (slot, argument registers)
@@ -262,17 +266,26 @@ def compile_tape(trees, probe_grads=False) -> Tape:
     The reverse `steps` replay the pullback order (an Apply, then its
     children in tuple order; a Compose's outer side, then its inner) on
     cotangent registers, k holding the seed of tree k.  Step (op, cot,
-    live) adds op `op`'s parameter gradient row at register `cot` and,
-    when `live`, appends its argument cotangents; (None, regs, True)
-    appends 0 + regs[0] + regs[1] ..., an Apply's gradient wrt its probe.
-    A step is live only when a later step reads what it appends, and
-    each tree's gradient wrt the probes comes last only if `probe_grads`.
+    live) is an occurrence of op `op` at register `cot` that, when
+    `live`, appends its argument cotangents; (None, regs, True) appends
+    0 + regs[0] + regs[1], an arity-2 Apply's gradient wrt its probe (a
+    one-argument Apply's is its argument's register).  A step is live
+    only when a later step reads what it appends.  `rows` holds, per
+    slot, the columns (argument registers per position, cot, op) of its
+    steps' parameter-gradient rows, in step order, and `probe_grads` each
+    tree's probe-gradient register if `probe_grads`, else None.
     """
     ops, steps, fresh = {}, [], itertools.count(len(trees))
     emitted = [_emit(tree, 0, ops) for tree in trees]
-    for k, (_, back) in enumerate(emitted):
-        back(k, probe_grads, steps, fresh)
-    return Tape(tuple(ops), tuple(r for r, _ in emitted), tuple(steps))
+    grads = tuple(back(k, probe_grads, steps, fresh)
+                  for k, (_, back) in enumerate(emitted))
+    table, rows = tuple(ops), {}
+    for op, cot, _ in steps:
+        if op is not None:
+            rows.setdefault(table[op][0], []).append((*table[op][1], cot, op))
+    return Tape(table, tuple(r for r, _ in emitted), tuple(steps),
+                tuple((slot, tuple(zip(*r))) for slot, r in rows.items()),
+                grads if probe_grads else None)
 
 
 def _emit(tree, reg, ops):
@@ -280,7 +293,7 @@ def _emit(tree, reg, ops):
     ((slot, argument registers) -> op number).  Return its value register
     and back(cot, want, steps, fresh), which appends its steps at cotangent
     register `cot`, numbering new registers from `fresh`, and returns the
-    register of its gradient wrt its probe if `want`, else None."""
+    register of its gradient wrt its probe if `want`."""
     if isinstance(tree, Identity):
         return reg, lambda cot, want, steps, fresh: cot
     if isinstance(tree, Apply):
@@ -293,9 +306,10 @@ def _emit(tree, reg, ops):
             steps.append((op, cot, want or read))
             gargs = [next(fresh) for _ in kids] if want or read else []
             regs = tuple(kb(g, want, steps, fresh) for (_, kb), g in zip(kids, gargs))
-            if want:
+            if want and len(regs) > 1:
                 steps.append((None, regs, True))
                 return next(fresh)
+            return regs[0] if want else None
 
         return op + 1, back
     inner, back_inner = _emit(tree.inner, reg, ops)
@@ -320,23 +334,22 @@ def run_forward(tape: Tape, families, slots, probes) -> tuple:
 def run_reverse(tape: Tape, families, slots, forward, seeds, grads) -> list:
     """Add the per-slot gradients of sum_k seeds[k] . tree_k into `grads`
     and return the cotangent registers; `forward` is from `run_forward`.
-    One `grad_bridge` call takes all rows of a slot, added in turn to its
+    Only live steps and arity-2 sums run; then one `grad_bridge` call per
+    slot takes the rows of its `tape.rows` plan, added in turn to its
     entry in `grads`: probe-major, then in step order."""
-    (values, acts), cots, rows = forward, list(seeds), {}
+    (values, acts), cots = forward, list(seeds)
     for op, regs, live in tape.steps:
         if op is None:
             cots.append(sum((cots[r] for r in regs), 0.0))
-            continue
-        slot, args = tape.ops[op]
-        xs = [values[r] for r in args]
-        if live:
-            cots.extend(grad_args(families[slot], slots[slot], xs, cots[regs],
-                                  acts[op]))
-        rows.setdefault(slot, []).append((*xs, cots[regs], acts[op]))
-    for slot, contributions in rows.items():
-        *xs, cot, act = zip(*contributions)
-        gp = grad_bridge(families[slot], slots[slot], [np.array(x) for x in xs],
-                         np.array(cot), None if act[0] is None else np.array(act))
+        elif live:
+            slot, args = tape.ops[op]
+            cots.extend(grad_args(families[slot], slots[slot],
+                                  [values[r] for r in args], cots[regs], acts[op]))
+    for slot, (*args, cot, act) in tape.rows:
+        gp = grad_bridge(families[slot], slots[slot],
+                         [np.array([values[r] for r in regs]) for regs in args],
+                         np.array([cots[r] for r in cot]), None if acts[act[0]] is None
+                         else np.array([acts[op] for op in act]))
         # rows to probe-major order; add.accumulate adds them one by one
         gp = gp.swapaxes(0, -2).reshape(-1, gp.shape[-1])
         grads[slot] = np.add.accumulate(np.concatenate([grads[slot][None], gp]))[-1]
@@ -350,13 +363,13 @@ def vjp_expr(tree, families, slots, d):
     value becomes the probe seen by the outer subtree, so closed arguments
     of a mid-chain factor consume the value flowing in from the right.
     `pullback(cot, grads)` adds the per-slot gradients of `cot . value`
-    into the list `grads` and returns the gradient with respect to `d`.
+    into the list `grads` and returns the gradient with respect to `d`,
+    read from the tape's probe-gradient register of the root.
     """
     tape = compile_tape([tree], True)
     forward = run_forward(tape, families, slots, d)
-    # the step of the root's probe gradient comes last
     return forward[0][tape.outputs[0]], lambda cot, grads: run_reverse(
-        tape, families, slots, forward, [cot], grads)[-1]
+        tape, families, slots, forward, [cot], grads)[tape.probe_grads[0]]
 
 
 def node_count(tree) -> int:

@@ -3,18 +3,23 @@
 An Apply whose (slot, argument registers) recur reuses one op, and a
 reverse step computes argument cotangents only when a later step reads
 them; every occurrence still adds its own parameter-gradient row, in the
-order of a walk of the trees.  So loss, gradients, residuals and the
-probe gradient of `vjp_expr` must equal the recursive oracle exactly.
+order of a walk of the trees, from its slot's row plan.  A one-argument
+Apply's probe gradient is its argument's cotangent register, not a copy.
+So loss, gradients, residuals and the probe gradient of `vjp_expr` must
+equal the recursive oracle exactly, and loss and gradients byte for byte.
 """
 
 import numpy as np
 import pytest
 
-from goalchase.expr import EquationPairList, compile_tape, vjp_expr
+from collections import Counter
+
+from goalchase.expr import Apply, Compose, EquationPairList, compile_tape, vjp_expr
 from goalchase.feedback import _compile_cached, compile_pairs, evaluate, feedback_error
 from goalchase.goallaw import MUT_WRAP_HEADS, _mutate
 
-from test_expr_oracle import ARITIES, FAMILIES, _vjp, eval_expr, oracle_loss_gradients
+from test_expr_oracle import (ARITIES, FAMILIES, _vjp, eval_expr, oracle_loss_gradients,
+                              walked_goals)
 
 
 def _grad_args_steps(tape):
@@ -27,15 +32,15 @@ def test_commute_tape_has_four_ops_and_two_live_grad_args():
     tape = _compile_cached(commute, (1, 1))
     assert tape.ops == ((1, (0,)), (0, (1,)), (0, (0,)), (1, (3,)))
     # each side's last factor feeds only its gradient wrt the probe, and
-    # only the head's sum is read, as the cotangent of the last factor
-    assert tape.steps == ((1, 0, True), (None, (2,), True), (0, 3, False),
-                          (3, 1, True), (None, (4,), True), (2, 5, False))
+    # the head's one argument cotangent is the last factor's cotangent
+    assert tape.steps == ((1, 0, True), (0, 2, False), (3, 1, True), (2, 3, False))
     assert _grad_args_steps(tape) == (4, 2)
     # the one-tree view keeps the probe gradient, so every step is live
     trees = [t for pair in compile_pairs(commute, FAMILIES[1:]) for t in pair]
     full = compile_tape(trees, True)
     assert _grad_args_steps(full) == (4, 4)
-    assert sum(op is None for op, _, _ in full.steps) == 4
+    # every Apply takes one argument, so every probe gradient is aliased
+    assert sum(op is None for op, _, _ in full.steps) == 0
 
 
 def test_wrap_heads_goal_shares_its_head_ops():
@@ -89,3 +94,62 @@ def test_pruned_tape_matches_oracle_exactly(count):
                                   _vjp(tree, FAMILIES, slots, d, cot, expected_grads))
             for g, e in zip(grads, expected_grads):
                 assert np.array_equal(g, e)
+
+
+def _goal_lists():
+    return [GOALS] + [g for seed in range(4) for g in walked_goals(seed, 10)]
+
+
+def _slot_occurrences(tree):
+    if isinstance(tree, Apply):
+        yield tree.slot
+        for child in tree.children:
+            yield from _slot_occurrences(child)
+    elif isinstance(tree, Compose):
+        yield from _slot_occurrences(tree.outer)
+        yield from _slot_occurrences(tree.inner)
+
+
+def test_row_plan_lists_every_occurrence_and_no_sum_copies():
+    for cpair in _goal_lists():
+        trees = [t for pair in compile_pairs(cpair, FAMILIES) for t in pair]
+        tape = _compile_cached(cpair, ARITIES)
+        occurrences = Counter(s for tree in trees for s in _slot_occurrences(tree))
+        assert {slot: len(ops) for slot, (*_, ops) in tape.rows} == occurrences
+        planned = []
+        for slot, (*args, cots, ops) in tape.rows:
+            assert [tape.ops[op] for op in ops] == [(slot, a) for a in zip(*args)]
+            planned += zip(ops, cots)
+        assert sorted(planned) == sorted((op, c) for op, c, _ in tape.steps
+                                         if op is not None)
+        for t in (tape, compile_tape(trees, True)):
+            assert all(len(regs) == 2 for op, regs, _ in t.steps if op is None)
+
+
+def _zeroed_trials(gen):
+    """(slots, probes) that put zeros, and a -0.0 probe entry, into the pass."""
+    slots = [gen.uniform(-1, 1, f.param_count) for f in FAMILIES]
+    probes = [gen.uniform(-1, 1, 2) for _ in range(2)]
+    for k in range(len(slots)):
+        yield [np.zeros_like(s) if j == k else s for j, s in enumerate(slots)], probes
+    yield [np.where(gen.random(s.shape) < 0.5, 0.0, s) for s in slots], probes
+    yield slots, [np.zeros(2), np.array([-0.0, 0.0])]
+
+
+def test_gradients_match_oracle_byte_for_byte_with_signed_zeros():
+    gen, zeros = np.random.Generator(np.random.PCG64(41)), 0
+    for cpair in _goal_lists():
+        trees = compile_pairs(cpair, FAMILIES)
+        for slots, probes in _zeroed_trials(gen):
+            loss, gradients = evaluate(cpair, FAMILIES, slots, probes)
+            expected = 0.0
+            for d in probes:
+                for l, r in trees:
+                    er = eval_expr(l, FAMILIES, slots, d) - eval_expr(r, FAMILIES, slots, d)
+                    expected += float(er @ er)
+            assert np.float64(loss).tobytes() == np.float64(expected / len(probes)).tobytes()
+            oracle = oracle_loss_gradients(trees, FAMILIES, slots, probes)
+            for g, e in zip(gradients(), oracle):
+                assert g.tobytes() == e.tobytes()
+                zeros += not g.all()
+    assert zeros > 0  # the trials put exact zeros into gradients
