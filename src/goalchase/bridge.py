@@ -10,11 +10,12 @@ distinct parameter vectors can realize the same function.
 The kernels `eval_bridge`, `grad_bridge` (the parameter gradient of a
 cotangent) and `grad_args` (its argument gradients) take arrays of shape
 (..., m) whose leading axes are a batch, a single vector being the
-unbatched case; each row comes out bit for bit as it would alone.
-`eval_bridge` can keep mlp1h's activation tanh(W1 u + b1) for the gradient
-kernels' `act`.  They check nothing: `config_from_json` validates each
-slot's layout, and the witnesses in `analysis` raise `ShapeError` for a
-vector of the wrong length.
+unbatched case; every matrix-vector product is one `np.matvec`, so each
+row comes out bit for bit as it would alone.  `eval_bridge` can keep
+mlp1h's activation tanh(W1 u + b1) for the gradient kernels' `act`, and
+`grad_args` reads its `args` only to recompute a missing `act`.  They
+check nothing: `config_from_json` validates each slot's layout, and the
+witnesses in `analysis` raise `ShapeError` for a vector of the wrong length.
 """
 
 from __future__ import annotations
@@ -123,21 +124,10 @@ class BridgeFamily:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BridgeFamily":
-        known = {"kind", "m", "hidden", "pad"}
-        extra = set(obj) - known
+        extra = set(obj) - {"kind", "m", "hidden", "pad"}
         if extra:
             raise ValueError(f"unknown slot keys {sorted(extra)}")
-        return cls(
-            kind=obj.get("kind", ""),
-            m=obj.get("m", 0),
-            hidden=obj.get("hidden", 0),
-            pad=obj.get("pad", 0),
-        )
-
-
-def _mv(M, X):
-    """`M` times each vector along the last axis of `X`."""
-    return (M @ X[..., None])[..., 0]
+        return cls(**{"kind": "", "m": 0, **obj})
 
 
 def _outer(a, b):
@@ -150,14 +140,14 @@ def eval_bridge(family: BridgeFamily, params, args, keep=False):
     act = None
     if family.kind == AFFINE1:
         A, b, _ = family.blocks(params)
-        value = _mv(A, args[0]) + b
+        value = np.matvec(A, args[0]) + b
     elif family.kind == AFFINE2:
         A, B, c, _ = family.blocks(params)
-        value = _mv(A, args[0]) + _mv(B, args[1]) + c
+        value = np.matvec(A, args[0]) + np.matvec(B, args[1]) + c
     else:
         W1, b1, W2, b2, _ = family.blocks(params)
-        act = np.tanh(_mv(W1, args[0]) + b1)
-        value = _mv(W2, act) + b2
+        act = np.tanh(np.matvec(W1, args[0]) + b1)
+        value = np.matvec(W2, act) + b2
     return (value, act) if keep else value
 
 
@@ -173,12 +163,14 @@ def grad_bridge(family: BridgeFamily, params, args, cot, act=None) -> np.ndarray
 
 def grad_args(family: BridgeFamily, params, args, cot, act=None) -> list[np.ndarray]:
     """The gradients of `cot . eval_bridge` wrt each argument; `act` as
-    for `grad_bridge`."""
-    if family.kind == MLP1H:
-        _, dz = _mlp1h_back(family, params, args, cot, act)
-        return [_mv(family.blocks(params)[0].T, dz)]
-    # an affine layout starts with the matrix of each argument
-    return [_mv(M.T, cot) for M in family.blocks(params)[:family.arity]]
+    for `grad_bridge`.  `args` is read only for mlp1h with `act` None."""
+    if family.kind == AFFINE1:
+        return [np.matvec(family.blocks(params)[0].T, cot)]
+    if family.kind == AFFINE2:
+        A, B, _, _ = family.blocks(params)
+        return [np.matvec(A.T, cot), np.matvec(B.T, cot)]
+    _, dz = _mlp1h_back(family, params, args, cot, act)
+    return [np.matvec(family.blocks(params)[0].T, dz)]
 
 
 def _mlp1h_back(family: BridgeFamily, params, args, cot, act):
@@ -186,5 +178,5 @@ def _mlp1h_back(family: BridgeFamily, params, args, cot, act):
     the cotangent at its input."""
     W1, b1, W2, _, _ = family.blocks(params)
     if act is None:
-        act = np.tanh(_mv(W1, args[0]) + b1)
-    return act, _mv(W2.T, cot) * (1.0 - act * act)
+        act = np.tanh(np.matvec(W1, args[0]) + b1)
+    return act, np.matvec(W2.T, cot) * (1.0 - act * act)

@@ -334,17 +334,18 @@ def run_forward(tape: Tape, families, slots, probes) -> tuple:
 def run_reverse(tape: Tape, families, slots, forward, seeds, grads) -> list:
     """Add the per-slot gradients of sum_k seeds[k] . tree_k into `grads`
     and return the cotangent registers; `forward` is from `run_forward`.
-    Only live steps and arity-2 sums run; then one `grad_bridge` call per
-    slot takes the rows of its `tape.rows` plan, added in turn to its
-    entry in `grads`: probe-major, then in step order."""
+    Only live steps and arity-2 sums run; a live step hands `grad_args`
+    no arguments, as it reads them only to recompute an mlp1h `act` and
+    `run_forward` keeps every one.  Then one `grad_bridge` call per slot
+    takes the rows of its `tape.rows` plan, added in turn to its entry in
+    `grads`: probe-major, then in step order."""
     (values, acts), cots = forward, list(seeds)
     for op, regs, live in tape.steps:
         if op is None:
             cots.append(sum((cots[r] for r in regs), 0.0))
         elif live:
-            slot, args = tape.ops[op]
-            cots.extend(grad_args(families[slot], slots[slot],
-                                  [values[r] for r in args], cots[regs], acts[op]))
+            slot = tape.ops[op][0]
+            cots.extend(grad_args(families[slot], slots[slot], (), cots[regs], acts[op]))
     for slot, (*args, cot, act) in tape.rows:
         gp = grad_bridge(families[slot], slots[slot],
                          [np.array([values[r] for r in regs]) for regs in args],

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,12 @@ class LawSpec:
     period: int = 1
     law_seed: int = 0
     mutation_weights: tuple = (1.0, 1.0, 1.0, 1.0)
+
+    @cached_property
+    def _cumulative(self) -> tuple:
+        """(total, running sums) of `mutation_weights`, for the mutation draw."""
+        weights = np.asarray(self.mutation_weights, dtype=float)
+        return weights.sum(), np.cumsum(weights)
 
     def to_json(self) -> dict:
         if self.kind == IDENTITY_LAW:
@@ -126,15 +133,12 @@ MUT_WRAP_HEADS = 3
 def _step_grammar_walk(spec: LawSpec, state: LawState, n: int) -> LawState:
     gen = rng_from_words(state.rng_words)
     pairs = state.cpair.pairs
-    weights = np.asarray(spec.mutation_weights, dtype=float)
-    total = weights.sum()
-    cumulative = np.cumsum(weights)
+    total, cumulative = spec._cumulative
     new_pairs = None
     for _ in range(MUTATION_ATTEMPTS):
         k = int(gen.integers(len(pairs)))
         r = gen.random() * total
-        kind = int(np.searchsorted(cumulative, r, side="right"))
-        kind = min(kind, 3)
+        kind = min(int(np.searchsorted(cumulative, r, side="right")), 3)
         cand = _mutate(gen, pairs[k], kind, spec.arities)
         if cand is None:
             continue

@@ -5,6 +5,7 @@ from goalchase.analysis import pad_witness, permutation_witness
 from goalchase.bridge import (
     AFFINE1,
     AFFINE2,
+    KINDS,
     MLP1H,
     BridgeFamily,
     ShapeError,
@@ -228,3 +229,79 @@ def test_family_json_round_trip():
         BridgeFamily.from_json({"kind": "affine1", "m": 2, "arity": 1})
     with pytest.raises(ValueError):
         BridgeFamily.from_json({"kind": "affine1", "m": 2, "bogus": 1})
+
+
+# The kernels as first written, on (M @ X[..., None])[..., 0]: every
+# reshaping of the arithmetic must reproduce them byte for byte, since the
+# oracle tests call the same kernels and cannot see such a change.
+def _mv(M, X):
+    return (M @ X[..., None])[..., 0]
+
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
+def _matmul_eval(fam, params, args):
+    blocks = fam.blocks(params)
+    if fam.kind == AFFINE1:
+        return _mv(blocks[0], args[0]) + blocks[1], None
+    if fam.kind == AFFINE2:
+        return _mv(blocks[0], args[0]) + _mv(blocks[1], args[1]) + blocks[2], None
+    W1, b1, W2, b2, _ = blocks
+    act = np.tanh(_mv(W1, args[0]) + b1)
+    return _mv(W2, act) + b2, act
+
+
+def _matmul_grads(fam, params, args, cot):
+    """(parameter gradient, argument gradients) of cot . eval_bridge."""
+    blocks = fam.blocks(params)
+    if fam.kind != MLP1H:
+        return (fam.pack(*[_outer(cot, a) for a in args], cot),
+                [_mv(M.T, cot) for M in blocks[:fam.arity]])
+    W1, b1, W2, _, _ = blocks
+    act = np.tanh(_mv(W1, args[0]) + b1)
+    dz = _mv(W2.T, cot) * (1.0 - act * act)
+    return fam.pack(_outer(dz, args[0]), dz, _outer(cot, act), cot), [_mv(W1.T, dz)]
+
+
+def _same_bytes(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", [AFFINE1, AFFINE2, MLP1H])
+@pytest.mark.parametrize("pad", [0, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_kernels_match_the_matmul_form_byte_for_byte(kind, pad, m):
+    fam = BridgeFamily(kind, m=m, hidden=4 if kind == MLP1H else 0, pad=pad)
+    gen = np.random.Generator(np.random.PCG64(100 * m + 10 * pad + KINDS.index(kind)))
+    signed_zeros = 0
+    for batch in [(), (1,), (4,), (2, 3)]:
+        for _ in range(10):
+            params = gen.uniform(-2, 2, fam.param_count)
+            args = [gen.uniform(-2, 2, batch + (m,)) for _ in range(fam.arity)]
+            cot = gen.uniform(-2, 2, batch + (m,))
+            # exact zeros of both signs in the cotangent
+            cot = np.where(gen.random(cot.shape) < 0.3, 0.0, cot)
+            cot = np.where(gen.random(cot.shape) < 0.3, -0.0, cot)
+            signed_zeros += np.signbit(cot[cot == 0]).any()
+            value, act = _matmul_eval(fam, params, args)
+            _same_bytes(eval_bridge(fam, params, args), value)
+            got, got_act = eval_bridge(fam, params, args, keep=True)
+            _same_bytes(got, value)
+            assert (got_act is None) == (act is None)
+            if act is not None:
+                _same_bytes(got_act, act)
+            gp, gargs = _matmul_grads(fam, params, args, cot)
+            for kept in (None, got_act):
+                _same_bytes(grad_bridge(fam, params, args, cot, kept), gp)
+                got_args = grad_args(fam, params, args, cot, kept)
+                assert len(got_args) == fam.arity
+                for g, want in zip(got_args, gargs):
+                    _same_bytes(g, want)
+            if act is not None:
+                # with `act` at hand, grad_args needs no arguments
+                for g, want in zip(grad_args(fam, params, (), cot, act), gargs):
+                    _same_bytes(g, want)
+    assert signed_zeros > 0
+

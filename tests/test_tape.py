@@ -14,6 +14,7 @@ import pytest
 
 from collections import Counter
 
+from goalchase.bridge import MLP1H
 from goalchase.expr import Apply, Compose, EquationPairList, compile_tape, vjp_expr
 from goalchase.feedback import _compile_cached, compile_pairs, evaluate, feedback_error
 from goalchase.goallaw import MUT_WRAP_HEADS, _mutate
@@ -94,6 +95,29 @@ def test_pruned_tape_matches_oracle_exactly(count):
                                   _vjp(tree, FAMILIES, slots, d, cot, expected_grads))
             for g, e in zip(grads, expected_grads):
                 assert np.array_equal(g, e)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_mlp1h_activation_runs_once_per_op(count, monkeypatch):
+    mlp = [k for k, f in enumerate(FAMILIES) if f.kind == MLP1H]
+    tape = _compile_cached(GOALS, ARITIES)
+    ops = sum(slot in mlp for slot, _ in tape.ops)
+    trees = [t for pair in compile_pairs(GOALS, FAMILIES) for t in pair]
+    assert sum(s in mlp for tree in trees for s in _slot_occurrences(tree)) > ops > 0
+    gen = np.random.Generator(np.random.PCG64(5 + count))
+    slots = [gen.uniform(-1, 1, f.param_count) for f in FAMILIES]
+    probes = [gen.uniform(-1, 1, 2) for _ in range(count)]
+    calls, tanh = [], np.tanh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return tanh(*args, **kwargs)
+
+    monkeypatch.setattr(np, "tanh", counted)
+    # the forward pass keeps every activation, so the reverse pass,
+    # grad_args handed no arguments, never recomputes one
+    evaluate(GOALS, FAMILIES, slots, probes)[1]()
+    assert len(calls) == ops
 
 
 def _goal_lists():
