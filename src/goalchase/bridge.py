@@ -158,7 +158,12 @@ def grad_bridge(family: BridgeFamily, params, args, cot, act=None) -> np.ndarray
     if family.kind == MLP1H:
         act, dz = _mlp1h_back(family, params, args, cot, act)
         return family.pack(_outer(dz, args[0]), dz, _outer(cot, act), cot)
-    return family.pack(*[_outer(cot, a) for a in args], cot)
+    lead, blocks = cot.shape[:-1], family._blocks
+    rows = np.zeros(lead + (family.param_count,))
+    for (i, j, shape), a in zip(blocks, args):  # outer products into their blocks
+        np.multiply(cot[..., :, None], a[..., None, :], out=rows[..., i:j].reshape(lead + shape))
+    rows[..., slice(*blocks[len(args)][:2])] = cot
+    return rows
 
 
 def grad_args(family: BridgeFamily, params, args, cot, act=None) -> list[np.ndarray]:

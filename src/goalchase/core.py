@@ -29,6 +29,11 @@ PROBE_MODES = (FIXED_SET, RESAMPLE)
 
 _U64 = 1 << 64
 
+# bound on the total parameter count of a scenario's slots, far above the
+# 30 of the largest demo config: a step holds a few vectors of this length
+# and a gradient row of it per probe and Apply, 8 bytes an entry
+MAX_PARAMS = 100_000
+
 __all__ = [
     "FIXED_SET",
     "RESAMPLE",
@@ -102,7 +107,7 @@ class ScenarioConfig:
     mu: float = 0.0
     drift: float = 0.0
     probe_mode: str = FIXED_SET
-    probes: list = field(default_factory=list)
+    probes: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     K: int = 1
     log_every: int = 1
     snapshot_every: int = 0
@@ -111,9 +116,9 @@ class ScenarioConfig:
     def arities(self) -> tuple:
         return tuple(f.arity for f in self.slot_specs)
 
-    def probe_set(self, state: SlotState) -> list:
-        """The probes the loss averages over at `state` (one if resampled)."""
-        return self.probes if self.probe_mode == FIXED_SET else [state.probe]
+    def probe_set(self, state: SlotState) -> np.ndarray:
+        """The (P, m) probes the loss averages over at `state` (one if resampled)."""
+        return self.probes if self.probe_mode == FIXED_SET else state.probe[None]
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -200,10 +205,17 @@ def _require_float(obj, key, default=None):
 
 
 def parse_pairs(obj, key: str, arities, law_kind=None) -> EquationPairList:
-    """Goal pairs from JSON, each side one that `expr.parse_sequence`
-    accepts under the arity table."""
+    """Goal pairs from JSON, each side a string whose sequence
+    `expr.parse_sequence` accepts under the arity table."""
     if not isinstance(obj, list):
         raise ConfigError(key, f"expected a list of [left, right] pairs")
+    for k, entry in enumerate(obj):
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ConfigError(f"{key}[{k}]", f"expected a [left, right] pair, got {entry!r}")
+        for side, text in enumerate(entry):
+            if not isinstance(text, str):
+                raise ConfigError(f"{key}[{k}][{side}]",
+                                  f"expected goal text, got {text!r}")
     try:
         pairs = EquationPairList.from_json(obj)
     except (GrammarError, TypeError, ValueError) as e:
@@ -286,7 +298,7 @@ def config_from_json(obj: dict) -> ScenarioConfig:
     slots_obj = obj.get("slots")
     if not isinstance(slots_obj, list) or not slots_obj:
         raise ConfigError("slots", "expected a non-empty list of slot specs")
-    families = []
+    families, total = [], 0
     for i, spec in enumerate(slots_obj):
         if not isinstance(spec, dict):
             raise ConfigError(f"slots[{i}]", f"expected an object, got {spec!r}")
@@ -300,6 +312,10 @@ def config_from_json(obj: dict) -> ScenarioConfig:
             raise ConfigError(f"slots[{i}]", str(e)) from e
         if fam.m != m:
             raise ConfigError(f"slots[{i}].m", f"must equal m={m}, got {fam.m}")
+        total += fam.param_count
+        if total > MAX_PARAMS:
+            raise ConfigError(f"slots[{i}]", f"brings the parameter count to "
+                              f"{total}, more than the bound {MAX_PARAMS}")
         families.append(fam)
     init_seed = require_int(obj, "init_seed", lo=0, hi=_U64)
     eta = _require_float(obj, "eta")
@@ -328,7 +344,7 @@ def config_from_json(obj: dict) -> ScenarioConfig:
             if None in entries:
                 raise ConfigError(f"probes[{j}]",
                                   f"expected finite numbers, got {p!r}")
-            probes.append(np.array(entries))
+            probes.append(entries)
     elif "probes" in obj:
         raise ConfigError("probes", "not allowed with probe_mode=resample")
     arities = tuple(f.arity for f in families)
@@ -347,7 +363,7 @@ def config_from_json(obj: dict) -> ScenarioConfig:
         mu=mu,
         drift=drift,
         probe_mode=probe_mode,
-        probes=probes,
+        probes=np.array(probes, dtype=float).reshape(-1, m),
         K=K,
         log_every=log_every,
         snapshot_every=snapshot_every,

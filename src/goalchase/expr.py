@@ -26,8 +26,8 @@ and keeps mlp1h's activation for the reverse pass; a slot's gradient
 rows, one per Apply, come from a plan compiled with it, so gradients sum
 in the order of a walk of the trees.  A one-argument Apply's probe
 gradient aliases its argument's cotangent register; unlike a copy 0 + it,
-that can be a -0.0, but rows are linear in their cotangent and summed
-from +0.0, so the sign of a zero never reaches a gradient.
+that can be a -0.0, but rows are linear in their cotangent and sum to
+the bits of a sum from +0.0, so the sign of a zero never reaches a gradient.
 """
 
 from __future__ import annotations
@@ -333,6 +333,7 @@ def run_forward(tape: Tape, families, slots, probes) -> tuple:
 
 def run_reverse(tape: Tape, families, slots, forward, seeds, grads) -> list:
     """Add the per-slot gradients of sum_k seeds[k] . tree_k into `grads`
+    (a None entry is a fresh gradient, set only for a slot the tape uses)
     and return the cotangent registers; `forward` is from `run_forward`.
     Only live steps and arity-2 sums run; a live step hands `grad_args`
     no arguments, as it reads them only to recompute an mlp1h `act` and
@@ -351,9 +352,11 @@ def run_reverse(tape: Tape, families, slots, forward, seeds, grads) -> list:
                          [np.array([values[r] for r in regs]) for regs in args],
                          np.array([cots[r] for r in cot]), None if acts[act[0]] is None
                          else np.array([acts[op] for op in act]))
-        # rows to probe-major order; add.accumulate adds them one by one
-        gp = gp.swapaxes(0, -2).reshape(-1, gp.shape[-1])
-        grads[slot] = np.add.accumulate(np.concatenate([grads[slot][None], gp]))[-1]
+        # rows to probe-major order, added one by one; a fresh gradient
+        # starts at its first row, as `feedback` explains
+        gp, g = gp.swapaxes(0, -2).reshape(-1, gp.shape[-1]), grads[slot]
+        grads[slot] = (np.add.accumulate(gp)[-1] + 0.0 if g is None else
+                       np.add.accumulate(np.concatenate([g[None], gp]))[-1])
     return cots
 
 

@@ -7,6 +7,13 @@ per goal list (`expr.compile_tape`) and cached without its trees for the
 64 lists used last.  A controller tick descends a given gradient with
 momentum and an optional parameter leak, then advances the probe: it
 never evaluates goals, and nothing here sees the law's state.
+
+The loss takes one `np.vecdot(er_k, er_k)` per pair and adds its entries
+probe by probe, then pair by pair: the order, and the bits, of the loop
+over `er_k[p] @ er_k[p]` it replaced.  A fresh gradient is its slot's
+rows folded one by one from the first, then + 0.0, not from a zero row:
+a start at +0.0 changes only the sign of a zero sum, never making one
+-0.0, so adding +0.0 at the end gives the same bits.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from .prng import rng_from_words, rng_to_words
 
 __all__ = [
     "compile_pairs",
-    "feedback_error",
     "evaluate",
     "loss",
     "loss_gradients",
@@ -48,33 +54,28 @@ def _forward(cpair: EquationPairList, families, slots, probes) -> tuple:
     return tape, forward, [values[l] - values[r] for l, r in zip(sides, sides)]
 
 
-def feedback_error(cpair: EquationPairList, families, slots, d) -> list:
-    """Residual vectors [left_k(d) - right_k(d)] for every goal pair."""
-    return _forward(cpair, families, slots, d)[2]
-
-
 def evaluate(cpair: EquationPairList, families, slots, probes):
     """(loss, gradients) from one run of the goals' tape over all probes.
 
-    The probes run as one (P, m) batch; the loss adds er_k(d) . er_k(d)
-    probe by probe, then pair by pair.  `gradients()` runs the tape in
-    reverse, seeding 2 er_k(d) / P into the left tree and its negative
-    into the right.  Overflow is left to the caller to find as non-finite
-    values, without numpy warnings."""
-    batch, total = np.array(probes, dtype=float), 0.0
+    The probes, a (P, m) array or a list of P probes, run as one batch;
+    the loss adds er_k(d) . er_k(d) probe by probe, then pair by pair.
+    `gradients()` runs the tape in reverse, seeding 2 er_k(d) / P into the
+    left tree and its negative into the right.  Overflow is left to the
+    caller to find as non-finite values, without numpy warnings."""
+    batch, total = np.asarray(probes, dtype=float), 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         tape, forward, ers = _forward(cpair, families, slots, batch)
-        for p in range(len(batch)):
-            for er in ers:
-                total += float(er[p] @ er[p])
+        for row in zip(*[np.vecdot(er, er).tolist() for er in ers]):
+            for dot in row:
+                total += dot
 
     def gradients() -> list:
-        grads = [np.zeros_like(s) for s in slots]
+        grads = [None] * len(slots)
         cots = [2.0 / len(batch) * er for er in ers]
         with np.errstate(over="ignore", invalid="ignore"):
             run_reverse(tape, families, slots, forward,
                         [s for c in cots for s in (c, -c)], grads)
-        return grads
+        return [np.zeros_like(s) if g is None else g for s, g in zip(slots, grads)]
 
     return total / len(batch), gradients
 
@@ -113,7 +114,7 @@ def control_step(
     params = (1.0 - drift) * state.params - eta * momentum
     if probe_mode == FIXED_SET:
         cursor = (state.probe_cursor + 1) % len(probes)
-        probe = np.asarray(probes[cursor], dtype=float).copy()
+        probe = probes[cursor].copy()
         words = state.rng_words.copy()
     elif probe_mode == RESAMPLE:
         gen = rng_from_words(state.rng_words)

@@ -9,6 +9,11 @@ after every law event, and are strictly ordered by t with T = t // K.
 Each state is evaluated at most once, for its record and the step out of
 it; states are values, so never mutate a yielded state's flat `params`
 or its slots, which are views of them, in place.
+
+A record's slot norms are `math.sqrt(s.dot(s))`, which is what
+`np.linalg.norm` computes for a real vector, and its JSON line comes
+from one reused `json.JSONEncoder`, the one `json.dumps` builds per call
+for the same separators: both give the bits of the calls they replaced.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
@@ -87,8 +93,8 @@ def make_record(sim: SimState, macro: bool = False) -> TrajectoryRecord:
     cfg = sim.config
     val = sim.evaluation[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = [float(np.linalg.norm(s)) for s in sim.sub.slots]
-    if not np.isfinite(val) or not all(np.isfinite(n) for n in norms):
+        norms = [math.sqrt(s.dot(s)) for s in sim.sub.slots]
+    if not math.isfinite(val) or not all(map(math.isfinite, norms)):
         raise DivergenceError(
             f"non-finite loss or slot norm at step {sim.t}", step=sim.t
         )
@@ -96,21 +102,24 @@ def make_record(sim: SimState, macro: bool = False) -> TrajectoryRecord:
     if (cfg.snapshot_every > 0 and sim.t % cfg.snapshot_every == 0) or (
         sim.t == cfg.steps
     ):
-        snapshot = [[float(x) for x in s] for s in sim.sub.slots]
+        snapshot = [s.tolist() for s in sim.sub.slots]
     return TrajectoryRecord(
         t=sim.t,
         T=sim.t // cfg.K,
         loss=val,
         pairs=sim.law.cpair.to_json(),
         x_norms=norms,
-        d=[float(x) for x in sim.sub.probe],
+        d=sim.sub.probe.tolist(),
         macro=macro,
         slots=snapshot,
     )
 
 
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
 def record_to_json_line(rec: TrajectoryRecord) -> str:
-    return json.dumps(rec.to_json_obj(), separators=(",", ":"))
+    return _COMPACT.encode(rec.to_json_obj())
 
 
 def recorder(records: list, out=None):
@@ -146,7 +155,7 @@ def run(config: ScenarioConfig, jsonl_path=None) -> tuple[list, SimState]:
 
 
 def pair_digest(pairs_json: list) -> str:
-    text = json.dumps(pairs_json, separators=(",", ":"))
+    text = _COMPACT.encode(pairs_json)
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 

@@ -1,9 +1,18 @@
-"""Canonical scenario objects shared across the test suite.
+"""Canonical scenario objects, and a residual helper, shared across the
+test suite.
 
 Each builder returns a fresh JSON-style dict so tests can mutate freely.
 """
 
 import copy
+
+from goalchase.feedback import _forward
+
+
+def feedback_error(cpair, families, slots, d) -> list:
+    """Residual vectors [left_k(d) - right_k(d)] for every goal pair."""
+    return _forward(cpair, families, slots, d)[2]
+
 
 UNIT_PROBES = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
 

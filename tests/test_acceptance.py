@@ -33,11 +33,10 @@ from goalchase.expr import (
     seq_from_text,
     seq_to_text,
 )
-from goalchase.feedback import feedback_error
 from goalchase.goallaw import LawState
 from goalchase.simulator import new_sim, run, step
 
-from scenarios import commute_obj, goal_switch_obj
+from scenarios import commute_obj, feedback_error, goal_switch_obj
 
 AXIS_PROBES_3 = [
     [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],

@@ -153,8 +153,10 @@ def nested(levels):
     (["slots.0.kind=affine2", f'law.pairs=[["{nested(250)}","[1]"]]'],
      "law.pairs"),
     ([f'law.pairs=[["{nested(1000)}","[1]"]]'], "law.pairs"),
+    (["law.pairs.0.0=[[]]"], "law.pairs[0][0]"),
+    ([f"slots.0.pad={10**30}"], "slots[0]"),
 ], ids=["probe-strings", "probe-nested-list", "probe-booleans",
-        "chain-1000", "nested-250", "nested-1000"])
+        "chain-1000", "nested-250", "nested-1000", "goal-side-list", "pad-1e30"])
 def test_unchecked_inputs_exit_2(tmp_path, capsys, assignments, key):
     cfg = write_config(tmp_path, commute_obj(steps=2))
     argv = ["run", "--config", cfg, "--out", str(tmp_path / "out")]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from goalchase.core import (
+    MAX_PARAMS,
     ConfigError,
     ScenarioConfig,
     TrajectoryRecord,
@@ -134,6 +135,45 @@ def test_slot_spec_errors_name_the_slot():
     obj = commute_obj()
     del obj["slots"][0]["m"]
     assert err(obj).key == "slots[0].m"
+
+
+@pytest.mark.parametrize("size", [MAX_PARAMS, 10**9, 10**30])
+def test_slot_sizes_over_the_parameter_budget_are_rejected(size):
+    # rejected at the config boundary, before init_state allocates anything
+    for key in ("pad", "hidden"):
+        obj = commute_obj()
+        obj["slots"][1] = {"kind": "mlp1h", "m": 2, "hidden": 3, key: size}
+        assert err(obj).key == "slots[1]"
+    obj = commute_obj(m=size, probe_mode="resample")
+    del obj["probes"]
+    for spec in obj["slots"]:
+        spec["m"] = size
+    assert err(obj).key == "slots[0]"
+
+
+def test_the_parameter_budget_bounds_the_total():
+    obj = commute_obj()
+    obj["slots"][0]["pad"] = MAX_PARAMS - 12
+    config = config_from_json(obj)
+    assert sum(f.param_count for f in config.slot_specs) == MAX_PARAMS
+    obj["slots"][1]["pad"] = 1
+    e = err(obj)
+    assert e.key == "slots[1]" and str(MAX_PARAMS + 1) in str(e)
+
+
+@pytest.mark.parametrize("side", [[[]], ["[0]"], 5, None, True, {"[0]": 1}])
+def test_goal_sides_must_be_strings(side):
+    # a pair is a list of two sides: a dict's two keys are not a pair
+    for pair in ({"[0,1]": 0, "[1,0]": 0}, ["[0]"], ["[0]", "[1]", "[]"], "[0]"):
+        obj = commute_obj()
+        obj["law"]["pairs"][0] = pair
+        assert err(obj).key == "law.pairs[0]"
+    obj = commute_obj()
+    obj["law"]["pairs"][0][1] = side
+    assert err(obj).key == "law.pairs[0][1]"
+    obj = goal_switch_obj()
+    obj["law"]["program"][1][0][0] = side
+    assert err(obj).key == "law.program[1][0][0]"
 
 
 def test_probe_errors():

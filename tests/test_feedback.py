@@ -14,14 +14,13 @@ from goalchase.feedback import (
     compile_pairs,
     control_step,
     evaluate,
-    feedback_error,
     loss,
     loss_gradients,
 )
 from goalchase.goallaw import LawStallWarning
 from goalchase.simulator import iterate
 
-from scenarios import commute_obj, walk_obj
+from scenarios import commute_obj, feedback_error, resample_obj, walk_obj
 
 
 def _oracle_setup():
@@ -341,3 +340,69 @@ def test_non_finite_gradient_raises():
         grads = loss_gradients(bad, config.slot_specs, state.slots, config.probes)
         control_step(state, grads, config.probes, 0.05)
     assert "slot 0" in str(e.value)
+
+
+# --- each one-call form against the form it replaced --------------------------
+
+
+def _random_goals(m, seed):
+    gen = np.random.default_rng(seed)
+    families = [BridgeFamily(AFFINE1, m=m), BridgeFamily(AFFINE2, m=m)]
+    slots = [gen.uniform(-2, 2, f.param_count) for f in families]
+    cpair = pairs_of(["[0,1,(0,[])]", "[1,([0],[])]"], ["[0]", "[]"],
+                     ["[1,(0,0)]", "[0,0]"])
+    return gen, families, slots, cpair
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 33])
+@pytest.mark.parametrize("count", [1, 4, 9])
+def test_loss_equals_the_matmul_loop_bit_for_bit(m, count):
+    gen, families, slots, cpair = _random_goals(m, 100 * m + count)
+    # probes over six decades, so the order of the sum shows in its bits
+    probes = gen.uniform(-1, 1, (count, m)) * 10.0 ** gen.uniform(-3, 3, (count, 1))
+    ers = feedback_error(cpair, families, slots, probes)
+    total = 0.0
+    for p in range(count):
+        for er in ers:
+            total += float(er[p] @ er[p])
+    assert loss(cpair, families, slots, probes).hex() == (total / count).hex()
+
+
+def test_fresh_fold_equals_the_zero_row_fold_byte_for_byte(monkeypatch):
+    # the reverse pass folds whatever rows grad_bridge hands it: here rows
+    # of -0.0, infinities and more, for 3 Applies at 2 probes of slot 0
+    families = [BridgeFamily(AFFINE1, m=2)]
+    slots = [np.zeros(6)]
+    tape = expr.compile_tape([expr.parse_sequence((0, 0, 0), (1,))])
+    forward = expr.run_forward(tape, families, slots, np.zeros((2, 2)))
+    gen = np.random.default_rng(5)
+    values = [0.0, -0.0, 1.5, -1.5, 1e-310, np.inf, -np.inf, 1e308, -1e308]
+    cases = [np.full((3, 2, 6), -0.0), np.where(np.arange(36) % 2, -0.0, np.inf)]
+    cases += [gen.choice(values, size=(3, 2, 6)) for _ in range(300)]
+    for rows in cases:
+        monkeypatch.setattr(expr, "grad_bridge", lambda *a, rows=rows: rows.reshape(3, 2, 6))
+        fresh, zero_row = [None], [np.zeros(6)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            expr.run_reverse(tape, families, slots, forward, [np.zeros((2, 2))], fresh)
+            expr.run_reverse(tape, families, slots, forward, [np.zeros((2, 2))], zero_row)
+        assert fresh[0].tobytes() == zero_row[0].tobytes()
+
+
+def test_evaluate_takes_a_list_of_probes_or_their_array():
+    gen, families, slots, cpair = _random_goals(3, 11)
+    probes = [gen.uniform(-1, 1, 3) for _ in range(5)]
+    value, gradients = evaluate(cpair, families, slots, probes)
+    value_a, gradients_a = evaluate(cpair, families, slots, np.array(probes))
+    assert value.hex() == value_a.hex()
+    for g, g_a in zip(gradients(), gradients_a()):
+        assert g.tobytes() == g_a.tobytes()
+
+
+def test_config_probes_are_one_array_and_steps_copy_a_row():
+    config, state, cpair = _control_setup()
+    assert config.probes.shape == (4, 2) and config.probes.dtype == float
+    grads = loss_gradients(cpair, config.slot_specs, state.slots, config.probes)
+    new = control_step(state, grads, config.probes, eta=0.05)
+    assert not np.shares_memory(new.probe, config.probes)
+    resample = config_from_json(resample_obj())
+    assert resample.probes.shape == (0, 2)

@@ -284,3 +284,41 @@ def test_run_writes_nothing_to_stdout_or_stderr(capfd, tmp_path, name, steps):
         warnings.simplefilter("error")  # a warning would print to stderr
         run(config_from_json(obj), jsonl_path=tmp_path / "trajectory.jsonl")
     assert capfd.readouterr() == ("", "")
+
+
+# --- records: each one-call form against the form it replaced -----------------
+
+
+def test_record_lines_equal_json_dumps():
+    config = config_from_json(commute_obj(steps=3, K=2, snapshot_every=2))
+    records, _ = run(config)
+    assert {r.macro for r in records} == {False, True}
+    assert {r.slots is None for r in records} == {False, True}
+    for rec in records:
+        assert record_to_json_line(rec) == json.dumps(rec.to_json_obj(),
+                                                      separators=(",", ":"))
+
+
+def _still_goals():
+    # identity goals: the loss is exactly 0 whatever the slots hold
+    return commute_obj(steps=0, law={"kind": "identity", "pairs": [["[]", "[]"]]})
+
+
+@pytest.mark.parametrize("scale", [0.0, 5e-324, 1e-300, 1e-160, 1e-5, 1.0, 3e7,
+                                   1e150, 1e153])
+def test_x_norms_are_linalg_norm_bit_for_bit(scale):
+    sim = new_sim(config_from_json(_still_goals()))
+    gen = np.random.default_rng(7)
+    sim.sub.params[:] = scale * gen.uniform(-1, 1, sim.sub.params.size)
+    norms = make_record(sim).x_norms
+    assert [n.hex() for n in norms] == [float(np.linalg.norm(s)).hex()
+                                        for s in sim.sub.slots]
+
+
+def test_huge_slot_entries_diverge_without_runtime_warnings():
+    sim = new_sim(config_from_json(_still_goals()))
+    sim.sub.slots[1][:] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError):
+            make_record(sim)

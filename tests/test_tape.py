@@ -16,9 +16,10 @@ from collections import Counter
 
 from goalchase.bridge import MLP1H
 from goalchase.expr import Apply, Compose, EquationPairList, compile_tape, vjp_expr
-from goalchase.feedback import _compile_cached, compile_pairs, evaluate, feedback_error
+from goalchase.feedback import _compile_cached, compile_pairs, evaluate
 from goalchase.goallaw import MUT_WRAP_HEADS, _mutate
 
+from scenarios import feedback_error
 from test_expr_oracle import (ARITIES, FAMILIES, _vjp, eval_expr, oracle_loss_gradients,
                               walked_goals)
 
