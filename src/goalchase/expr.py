@@ -21,13 +21,13 @@ tree, rejects a side more than `MAX_DEPTH` levels deep.
 Trees are evaluated through a flat tape (`compile_tape`), built once per
 goal list, that runs a batch of probes forward (`run_forward`) and back
 (`run_reverse`); `vjp_expr` is its one-tree, one-vector view.  The tape
-runs each distinct op once, computes argument cotangents only where read,
-and keeps mlp1h's activation for the reverse pass; a slot's gradient
-rows, one per Apply, come from a plan compiled with it, so gradients sum
-in the order of a walk of the trees.  A one-argument Apply's probe
-gradient aliases its argument's cotangent register; unlike a copy 0 + it,
-that can be a -0.0, but rows are linear in their cotangent and sum to
-the bits of a sum from +0.0, so the sign of a zero never reaches a gradient.
+runs each distinct op once and keeps mlp1h's activation for the reverse
+pass, which is reverse mode on that DAG: one adjoint per value, one
+parameter-gradient row per op, and argument cotangents only where read,
+summed in the order `compile_tape` states.  An adjoint with one
+contribution is that contribution's register; unlike a copy 0 + it, that
+can be a -0.0, but rows are linear in their cotangent and sum to the bits
+of a sum from +0.0, so the sign of a zero never reaches a gradient.
 """
 
 from __future__ import annotations
@@ -263,60 +263,57 @@ def compile_tape(trees, probe_grads=False) -> Tape:
     Value register 0 holds the probes and op k, (slot, argument registers),
     writes register k + 1; an Apply whose (slot, argument registers)
     recur reuses the op, and `outputs` are the trees' value registers.
-    The reverse `steps` replay the pullback order (an Apply, then its
-    children in tuple order; a Compose's outer side, then its inner) on
-    cotangent registers, k holding the seed of tree k.  Step (op, cot,
-    live) is an occurrence of op `op` at register `cot` that, when
-    `live`, appends its argument cotangents; (None, regs, True) appends
-    0 + regs[0] + regs[1], an arity-2 Apply's gradient wrt its probe (a
-    one-argument Apply's is its argument's register).  A step is live
-    only when a later step reads what it appends.  `rows` holds, per
-    slot, the columns (argument registers per position, cot, op) of its
-    steps' parameter-gradient rows, in step order, and `probe_grads` each
-    tree's probe-gradient register if `probe_grads`, else None.
+    The reverse `steps` visit the ops in reverse order on cotangent
+    registers, k holding the seed of tree k, to give each value one
+    adjoint: (None, regs) appends 0 + the sum of its contributions where
+    there are several, the seeds in tree order, then its readers' in step
+    order; (op, cot) appends op `op`'s argument cotangents at adjoint
+    `cot` when one is read, as an op's always is and the probes' only if
+    `probe_grads`.  `rows` holds, per slot, the columns (argument registers
+    per position, adjoint, op) of one row per op, in the order of its
+    first Apply in a walk of the trees; `probe_grads` is the probes'
+    adjoint register if `probe_grads`, else None.
     """
-    ops, steps, fresh = {}, [], itertools.count(len(trees))
-    emitted = [_emit(tree, 0, ops) for tree in trees]
-    grads = tuple(back(k, probe_grads, steps, fresh)
-                  for k, (_, back) in enumerate(emitted))
-    table, rows = tuple(ops), {}
-    for op, cot, _ in steps:
-        if op is not None:
-            rows.setdefault(table[op][0], []).append((*table[op][1], cot, op))
-    return Tape(table, tuple(r for r, _ in emitted), tuple(steps),
+    ops, walk = {}, []
+    outputs = tuple(_emit(tree, 0, ops, walk) for tree in trees)
+    table, steps, fresh = tuple(ops), [], itertools.count(len(trees))
+    into = [[] for _ in range(len(table) + 1)]  # contributions per value
+    for k, reg in enumerate(outputs):
+        into[reg].append(k)
+    for reg in range(len(table), -1 if probe_grads else 0, -1):
+        if len(into[reg]) > 1:
+            steps.append((None, tuple(into[reg])))
+            into[reg] = [next(fresh)]
+        if reg and (probe_grads or any(table[reg - 1][1])):
+            steps.append((reg - 1, into[reg][0]))
+            for arg in table[reg - 1][1]:
+                into[arg].append(next(fresh))
+    rows = {}
+    for op in dict.fromkeys(walk):
+        rows.setdefault(table[op][0], []).append((*table[op][1], into[op + 1][0], op))
+    return Tape(table, outputs, tuple(steps),
                 tuple((slot, tuple(zip(*r))) for slot, r in rows.items()),
-                grads if probe_grads else None)
+                into[0][0] if probe_grads else None)
 
 
-def _emit(tree, reg, ops):
+def _emit(tree, reg, ops, walk):
     """Add the ops of `tree` at value register `reg` to the dict `ops`
-    ((slot, argument registers) -> op number).  Return its value register
-    and back(cot, want, steps, fresh), which appends its steps at cotangent
-    register `cot`, numbering new registers from `fresh`, and returns the
-    register of its gradient wrt its probe if `want`."""
+    ((slot, argument registers) -> op number), append the op of each of
+    its Apply nodes to `walk` in walk order (an Apply, then its children in
+    tuple order; a Compose's outer side, then its inner), and return its
+    value register."""
     if isinstance(tree, Identity):
-        return reg, lambda cot, want, steps, fresh: cot
+        return reg
     if isinstance(tree, Apply):
-        kids = [_emit(c, reg, ops) for c in tree.children]
-        op = ops.setdefault((tree.slot, tuple(r for r, _ in kids)), len(ops))
-        # an argument's cotangent is read by its steps, or an Identity's by want
-        read = not all(isinstance(c, Identity) for c in tree.children)
-
-        def back(cot, want, steps, fresh):
-            steps.append((op, cot, want or read))
-            gargs = [next(fresh) for _ in kids] if want or read else []
-            regs = tuple(kb(g, want, steps, fresh) for (_, kb), g in zip(kids, gargs))
-            if want and len(regs) > 1:
-                steps.append((None, regs, True))
-                return next(fresh)
-            return regs[0] if want else None
-
-        return op + 1, back
-    inner, back_inner = _emit(tree.inner, reg, ops)
-    value, back_outer = _emit(tree.outer, inner, ops)
-    read = not isinstance(tree.inner, Identity)
-    return value, lambda cot, want, steps, fresh: back_inner(
-        back_outer(cot, want or read, steps, fresh), want, steps, fresh)
+        at = len(walk)
+        walk.append(None)
+        args = tuple(_emit(c, reg, ops, walk) for c in tree.children)
+        walk[at] = ops.setdefault((tree.slot, args), len(ops))
+        return walk[at] + 1
+    inner = []
+    value = _emit(tree.outer, _emit(tree.inner, reg, ops, inner), ops, walk)
+    walk += inner
+    return value
 
 
 def run_forward(tape: Tape, families, slots, probes) -> tuple:
@@ -335,16 +332,15 @@ def run_reverse(tape: Tape, families, slots, forward, seeds, grads) -> list:
     """Add the per-slot gradients of sum_k seeds[k] . tree_k into `grads`
     (a None entry is a fresh gradient, set only for a slot the tape uses)
     and return the cotangent registers; `forward` is from `run_forward`.
-    Only live steps and arity-2 sums run; a live step hands `grad_args`
-    no arguments, as it reads them only to recompute an mlp1h `act` and
-    `run_forward` keeps every one.  Then one `grad_bridge` call per slot
-    takes the rows of its `tape.rows` plan, added in turn to its entry in
-    `grads`: probe-major, then in step order."""
+    A step hands `grad_args` no arguments, as it reads them only to
+    recompute an mlp1h `act` and `run_forward` keeps every one.  Then one
+    `grad_bridge` call per slot takes the rows of its `tape.rows` plan,
+    added in turn to its entry in `grads`: probe-major, then in plan order."""
     (values, acts), cots = forward, list(seeds)
-    for op, regs, live in tape.steps:
+    for op, regs in tape.steps:
         if op is None:
             cots.append(sum((cots[r] for r in regs), 0.0))
-        elif live:
+        else:
             slot = tape.ops[op][0]
             cots.extend(grad_args(families[slot], slots[slot], (), cots[regs], acts[op]))
     for slot, (*args, cot, act) in tape.rows:
@@ -368,12 +364,12 @@ def vjp_expr(tree, families, slots, d):
     of a mid-chain factor consume the value flowing in from the right.
     `pullback(cot, grads)` adds the per-slot gradients of `cot . value`
     into the list `grads` and returns the gradient with respect to `d`,
-    read from the tape's probe-gradient register of the root.
+    read from the tape's probe adjoint register.
     """
     tape = compile_tape([tree], True)
     forward = run_forward(tape, families, slots, d)
     return forward[0][tape.outputs[0]], lambda cot, grads: run_reverse(
-        tape, families, slots, forward, [cot], grads)[tape.probe_grads[0]]
+        tape, families, slots, forward, [cot], grads)[tape.probe_grads]
 
 
 def node_count(tree) -> int:

@@ -4,7 +4,8 @@ For goal pair k the residual at probe d is er_k(d) = left_k(d) - right_k(d);
 the loss averages the squared residual norms over the probe set; `evaluate`
 gives it and its gradient from one run of the goals' tape, compiled once
 per goal list (`expr.compile_tape`) and cached without its trees for the
-64 lists used last.  A controller tick descends a given gradient with
+64 lists used last; the tape's reverse pass visits each distinct op once,
+however often the goals repeat it.  A controller tick descends a given gradient with
 momentum and an optional parameter leak, then advances the probe: it
 never evaluates goals, and nothing here sees the law's state.
 

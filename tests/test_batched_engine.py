@@ -2,9 +2,10 @@
 
 The kernels take leading batch axes and every row of a batch must come
 out bit for bit as the same row computed alone.  The tape runs all probes
-as one batch and sums each slot's gradient rows in the old sequential
-order (probe-major, then pair, left side before right, then pullback
-order), so `loss_gradients` must equal a per-probe sequential walk exactly.
+as one batch and sums each slot's gradient rows in sequential order
+(probe-major, then one row per op, in the order of its first Apply in a
+walk of the sides, pair by pair, left before right), so `loss_gradients`
+must equal the per-probe DAG walk of `dag_loss_gradients` exactly.
 """
 
 import numpy as np
@@ -15,7 +16,8 @@ from goalchase.bridge import (AFFINE1, AFFINE2, MLP1H, BridgeFamily, eval_bridge
 from goalchase.expr import EquationPairList
 from goalchase.feedback import compile_pairs, loss, loss_gradients
 
-from test_expr_oracle import eval_expr, oracle_loss_gradients
+from test_expr_oracle import (assert_close, dag_loss_gradients, eval_expr,
+                              oracle_loss_gradients)
 
 
 @pytest.mark.parametrize("pad", [0, 2])
@@ -45,7 +47,7 @@ def test_batched_kernels_equal_row_by_row_calls(kind, m, pad):
 
 def test_loss_gradients_sum_rows_in_sequential_order():
     # m = 1 slots with many probes: a pairwise sum of the gradient rows, or
-    # a node-major order, changes low bits that the sequential walk fixes
+    # an op-major order, changes low bits that the sequential walk fixes
     families = [
         BridgeFamily(AFFINE1, m=1),
         BridgeFamily(AFFINE2, m=1, pad=1),
@@ -61,8 +63,9 @@ def test_loss_gradients_sum_rows_in_sequential_order():
         slots = [gen.uniform(-1, 1, f.param_count) for f in families]
         probes = [gen.uniform(-1, 1, 1) for _ in range(int(gen.integers(9, 40)))]
         got = loss_gradients(cpair, families, slots, probes)
-        for g, e in zip(got, oracle_loss_gradients(trees, families, slots, probes)):
+        for g, e in zip(got, dag_loss_gradients(trees, families, slots, probes)):
             assert np.array_equal(g, e)
+        assert_close(got, oracle_loss_gradients(trees, families, slots, probes))
         expected_loss = 0.0
         for d in probes:
             for tl, tr in trees:

@@ -186,8 +186,9 @@ def _apply_nodes(tree):
 
 def test_loss_gradients_call_bridges_once_per_op_live_step_and_slot(monkeypatch):
     # the probes run as one batch: per evaluation, eval_bridge runs once per
-    # distinct (slot, arguments), grad_args once per live reverse step and
-    # grad_bridge once per slot, whatever the probe count
+    # distinct (slot, arguments), grad_args once per op whose argument
+    # cotangents are read and grad_bridge once per slot, whatever the probe
+    # count
     calls = dict.fromkeys(("eval_bridge", "grad_args", "grad_bridge"), 0)
 
     def counting(name, fn):
@@ -205,10 +206,9 @@ def test_loss_gradients_call_bridges_once_per_op_live_step_and_slot(monkeypatch)
     nodes = sum(_apply_nodes(t) for pair in compile_pairs(cpair, families)
                 for t in pair)
     # 16 Apply nodes.  Slot 2 at the probe, slot 1 at the probe and slot 1
-    # after it recur, so 13 are distinct.  Five steps are dead, as their
-    # only argument is the probe and nobody reads the gradient wrt it: the
-    # last factor of [..,1,2] and of [1,2,1], and the three unary arguments
-    # of the right side's binary slots
+    # after it recur, so 13 ops are distinct.  Two of them, slot 2 and slot
+    # 1 at the probe, read only the probe, and nobody reads the gradient wrt
+    # it, so the other 11 run grad_args
     assert nodes == 16
     for count in (1, 3):
         calls.update(dict.fromkeys(calls, 0))

@@ -1,48 +1,52 @@
-"""The compiled tape does only work that someone reads, bit for bit.
+"""The compiled tape: one adjoint and one row per op, bit for bit.
 
-An Apply whose (slot, argument registers) recur reuses one op, and a
-reverse step computes argument cotangents only when a later step reads
-them; every occurrence still adds its own parameter-gradient row, in the
-order of a walk of the trees, from its slot's row plan.  A one-argument
-Apply's probe gradient is its argument's cotangent register, not a copy.
-So loss, gradients, residuals and the probe gradient of `vjp_expr` must
-equal the recursive oracle exactly, and loss and gradients byte for byte.
+An Apply whose (slot, argument registers) recur reuses one op, and the
+reverse pass runs on that DAG: it visits the ops in reverse order, adds
+each adjoint's contributions (seeds in tree order, then readers in step
+order) only where there are several, and computes argument cotangents
+only where one is read.  Each op adds one parameter-gradient row at its
+adjoint, in the order of its first Apply in a walk of the trees.  So
+loss, gradients, residuals and the probe gradient of `vjp_expr` must
+equal the per-probe DAG oracle exactly, loss and gradients byte for
+byte, and the reverse work tracks ops, not tree nodes.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
-from collections import Counter
-
-from goalchase.bridge import MLP1H
-from goalchase.expr import Apply, Compose, EquationPairList, compile_tape, vjp_expr
+from goalchase import expr
+from goalchase.bridge import AFFINE1, AFFINE2, MLP1H, BridgeFamily
+from goalchase.expr import (Apply, Compose, EquationPairList, compile_tape, node_count,
+                            vjp_expr)
 from goalchase.feedback import _compile_cached, compile_pairs, evaluate
-from goalchase.goallaw import MUT_WRAP_HEADS, _mutate
+from goalchase.goallaw import (GRAMMAR_WALK, MUT_WRAP_HEADS, LawSpec, _mutate,
+                               initial_law_state, step_law)
 
 from scenarios import feedback_error
-from test_expr_oracle import (ARITIES, FAMILIES, _vjp, eval_expr, oracle_loss_gradients,
-                              walked_goals)
+from test_expr_oracle import (ARITIES, FAMILIES, _walk, dag_loss_gradients, dag_vjp,
+                              eval_expr, walked_goals)
 
 
-def _grad_args_steps(tape):
-    steps = [live for op, _, live in tape.steps if op is not None]
-    return len(steps), sum(steps)
+def _op_steps(tape):
+    return sum(op is not None for op, _ in tape.steps)
 
 
 def test_commute_tape_has_four_ops_and_two_live_grad_args():
     commute = EquationPairList.from_json([["[0,1]", "[1,0]"]])
     tape = _compile_cached(commute, (1, 1))
     assert tape.ops == ((1, (0,)), (0, (1,)), (0, (0,)), (1, (3,)))
-    # each side's last factor feeds only its gradient wrt the probe, and
-    # the head's one argument cotangent is the last factor's cotangent
-    assert tape.steps == ((1, 0, True), (0, 2, False), (3, 1, True), (2, 3, False))
-    assert _grad_args_steps(tape) == (4, 2)
-    # the one-tree view keeps the probe gradient, so every step is live
-    trees = [t for pair in compile_pairs(commute, FAMILIES[1:]) for t in pair]
-    full = compile_tape(trees, True)
-    assert _grad_args_steps(full) == (4, 4)
-    # every Apply takes one argument, so every probe gradient is aliased
-    assert sum(op is None for op, _, _ in full.steps) == 0
+    # each side's last factor reads only the probe, whose gradient nobody
+    # reads, so only the heads run grad_args, at their seeds 1 and 0
+    assert tape.steps == ((3, 1), (1, 0))
+    # one row per op, each side's head before its last factor
+    assert tape.rows == ((0, ((1, 0), (0, 2), (1, 2))), (1, ((0, 3), (3, 1), (0, 3))))
+    # the one-tree view reads the probe gradient, so every op has a step;
+    # every op has one reader, so no adjoint needs a sum
+    (left, _), = compile_pairs(commute, FAMILIES[1:])
+    full = compile_tape([left], True)
+    assert full.steps == ((1, 0), (0, 1)) and full.probe_grads == 2
 
 
 def test_wrap_heads_goal_shares_its_head_ops():
@@ -54,7 +58,11 @@ def test_wrap_heads_goal_shares_its_head_ops():
     tape = _compile_cached(cpair, ARITIES)
     # both sides apply slots 1 and 2 to the probe: 6 Apply nodes, 4 ops
     assert tape.ops == ((1, (0,)), (2, (0,)), (0, (1, 2)), (0, (2, 1)))
-    assert _grad_args_steps(tape) == (6, 2)
+    # the two heads run grad_args; each shared op's adjoint then sums its
+    # two readers' cotangents, the right head's first
+    assert tape.steps == ((3, 1), (2, 0), (None, (2, 5)), (None, (3, 4)))
+    assert tape.rows == ((0, ((1, 2), (2, 1), (0, 1), (2, 3))),
+                         (1, ((0,), (7,), (0,))), (2, ((0,), (6,), (1,))))
 
 
 GOALS = EquationPairList.from_json([
@@ -68,8 +76,8 @@ GOALS = EquationPairList.from_json([
 def test_pruned_tape_matches_oracle_exactly(count):
     trees = compile_pairs(GOALS, FAMILIES)
     tape = _compile_cached(GOALS, ARITIES)
-    steps, live = _grad_args_steps(tape)
-    assert len(tape.ops) < steps and live < steps  # shared ops, dead steps
+    nodes = sum(1 for pair in trees for t in pair for _ in _slot_occurrences(t))
+    assert len(tape.ops) < nodes and _op_steps(tape) < len(tape.ops)  # shared, pruned
     gen = np.random.Generator(np.random.PCG64(23 + count))
     for _ in range(5):
         slots = [gen.uniform(-1, 1, f.param_count) for f in FAMILIES]
@@ -83,7 +91,7 @@ def test_pruned_tape_matches_oracle_exactly(count):
                 assert np.array_equal(got, er)
                 expected += float(er @ er)
         assert loss == expected / count
-        oracle = oracle_loss_gradients(trees, FAMILIES, slots, probes)
+        oracle = dag_loss_gradients(trees, FAMILIES, slots, probes)
         for g, e in zip(gradients(), oracle):
             assert np.array_equal(g, e)
         d, cot = probes[0], gen.uniform(-1, 1, 2)
@@ -93,7 +101,7 @@ def test_pruned_tape_matches_oracle_exactly(count):
             grads = [np.zeros_like(s) for s in slots]
             expected_grads = [np.zeros_like(s) for s in slots]
             assert np.array_equal(pullback(cot, grads),
-                                  _vjp(tree, FAMILIES, slots, d, cot, expected_grads))
+                                  dag_vjp([tree], FAMILIES, slots, d, [cot], expected_grads))
             for g, e in zip(grads, expected_grads):
                 assert np.array_equal(g, e)
 
@@ -135,20 +143,29 @@ def _slot_occurrences(tree):
         yield from _slot_occurrences(tree.inner)
 
 
-def test_row_plan_lists_every_occurrence_and_no_sum_copies():
+def _terms(tape):
+    """The term of each value register: "d" for the probes, else (slot,
+    argument terms), as `test_expr_oracle._term` builds them."""
+    terms = ["d"]
+    for slot, args in tape.ops:
+        terms.append((slot, tuple(terms[a] for a in args)))
+    return terms
+
+
+def test_row_plan_lists_each_op_once_and_no_sum_copies():
     for cpair in _goal_lists():
         trees = [t for pair in compile_pairs(cpair, FAMILIES) for t in pair]
         tape = _compile_cached(cpair, ARITIES)
-        occurrences = Counter(s for tree in trees for s in _slot_occurrences(tree))
-        assert {slot: len(ops) for slot, (*_, ops) in tape.rows} == occurrences
-        planned = []
-        for slot, (*args, cots, ops) in tape.rows:
+        terms = _terms(tape)
+        assert len(set(terms)) == len(terms)  # value numbering misses no repeat
+        walk = list(dict.fromkeys(t for tree in trees for t in _walk(tree, "d")))
+        assert set(walk) == set(terms[1:])
+        for slot, (*args, _, ops) in tape.rows:
             assert [tape.ops[op] for op in ops] == [(slot, a) for a in zip(*args)]
-            planned += zip(ops, cots)
-        assert sorted(planned) == sorted((op, c) for op, c, _ in tape.steps
-                                         if op is not None)
+            assert [terms[op + 1] for op in ops] == [t for t in walk if t[0] == slot]
         for t in (tape, compile_tape(trees, True)):
-            assert all(len(regs) == 2 for op, regs, _ in t.steps if op is None)
+            assert all(len(regs) > 1 for op, regs in t.steps if op is None)
+            assert len(t.steps) <= 2 * len(t.ops) + 1
 
 
 def _zeroed_trials(gen):
@@ -173,8 +190,40 @@ def test_gradients_match_oracle_byte_for_byte_with_signed_zeros():
                     er = eval_expr(l, FAMILIES, slots, d) - eval_expr(r, FAMILIES, slots, d)
                     expected += float(er @ er)
             assert np.float64(loss).tobytes() == np.float64(expected / len(probes)).tobytes()
-            oracle = oracle_loss_gradients(trees, FAMILIES, slots, probes)
+            oracle = dag_loss_gradients(trees, FAMILIES, slots, probes)
             for g, e in zip(gradients(), oracle):
                 assert g.tobytes() == e.tobytes()
                 zeros += not g.all()
     assert zeros > 0  # the trials put exact zeros into gradients
+
+
+def test_reverse_work_tracks_ops_not_nodes(monkeypatch):
+    # walk_growth's law at 120 firings: the goals grow to 1651 tree nodes
+    # over 57 ops, and a reverse pass per occurrence took 1571 steps
+    families = [BridgeFamily(AFFINE1, m=2), BridgeFamily(MLP1H, m=2, hidden=4),
+                BridgeFamily(AFFINE2, m=2)]
+    spec = LawSpec(kind=GRAMMAR_WALK, arities=(1, 1, 2),
+                   pairs=EquationPairList.from_json([["[0,1]", "[1,0]"]]),
+                   law_seed=7, mutation_weights=(4.0, 2.0, 2.0, 1.0))
+    state = initial_law_state(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a stalled step just repeats a goal
+        for _ in range(120):
+            state = step_law(spec, state)
+    tape = _compile_cached(state.cpair, tuple(f.arity for f in families))
+    nodes = sum(node_count(t) for pair in compile_pairs(state.cpair, families)
+                for t in pair)
+    assert nodes > 20 * len(tape.ops)
+    assert len(tape.steps) <= 2 * len(tape.ops)
+    calls, grad_args = [], expr.grad_args
+
+    def counted(*args):
+        calls.append(1)
+        return grad_args(*args)
+
+    monkeypatch.setattr(expr, "grad_args", counted)
+    gen = np.random.Generator(np.random.PCG64(3))
+    slots = [gen.uniform(-1, 1, f.param_count) for f in families]
+    _, gradients = evaluate(state.cpair, families, slots, gen.uniform(-1, 1, (1, 2)))
+    gradients()
+    assert len(calls) == _op_steps(tape) <= len(tape.ops)
