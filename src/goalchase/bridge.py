@@ -8,14 +8,15 @@ Every family accepts `pad` trailing parameters that the map ignores, so
 distinct parameter vectors can realize the same function.
 
 The kernels `eval_bridge`, `grad_bridge` (the parameter gradient of a
-cotangent) and `grad_args` (its argument gradients) take arrays of shape
-(..., m) whose leading axes are a batch, a single vector being the
-unbatched case; every matrix-vector product is one `np.matvec`, so each
-row comes out bit for bit as it would alone.  `eval_bridge` can keep
-mlp1h's activation tanh(W1 u + b1) for the gradient kernels' `act`, and
-`grad_args` reads its `args` only to recompute a missing `act`.  They
-check nothing: `config_from_json` validates each slot's layout, and the
-witnesses in `analysis` raise `ShapeError` for a vector of the wrong length.
+cotangent, from one row builder for every family) and `grad_args` (its
+argument gradients) take arrays of shape (..., m) whose leading axes are a
+batch, a single vector being the unbatched case; every matrix-vector
+product is one `np.matvec`, so each row comes out bit for bit as it would
+alone.  `eval_bridge` can keep mlp1h's activation tanh(W1 u + b1) for the
+gradient kernels' `act`, and `grad_args` reads its `args` only to
+recompute a missing `act`.  They check nothing: `config_from_json`
+validates each slot's layout, and the witnesses in `analysis` raise
+`ShapeError` for a vector of the wrong length.
 """
 
 from __future__ import annotations
@@ -107,13 +108,6 @@ class BridgeFamily:
             object.__setattr__(self, "_last", last)
         return last[1]
 
-    def pack(self, *blocks) -> np.ndarray:
-        """Concatenate `blocks` (layout order, pad excluded; the last one a
-        vector) and a zero pad, if any, along the last axis, row by row."""
-        lead = blocks[-1].shape[:-1]
-        pad = [np.zeros(lead + (self.pad,))] if self.pad else []
-        return np.concatenate([b.reshape(lead + (-1,)) for b in blocks] + pad, axis=-1)
-
     def to_json(self) -> dict:
         obj = {"kind": self.kind, "m": self.m}
         if self.kind == MLP1H:
@@ -128,10 +122,6 @@ class BridgeFamily:
         if extra:
             raise ValueError(f"unknown slot keys {sorted(extra)}")
         return cls(**{"kind": "", "m": 0, **obj})
-
-
-def _outer(a, b):
-    return a[..., :, None] * b[..., None, :]
 
 
 def eval_bridge(family: BridgeFamily, params, args, keep=False):
@@ -153,16 +143,24 @@ def eval_bridge(family: BridgeFamily, params, args, keep=False):
 
 def grad_bridge(family: BridgeFamily, params, args, cot, act=None) -> np.ndarray:
     """The parameter gradient of `cot . eval_bridge`, shape (...,
-    param_count), whose entries for pad parameters are exactly zero.
-    `act` is the activation `eval_bridge` kept at `args`, if at hand."""
-    if family.kind == MLP1H:
+    param_count), written block by block into one zeroed array, so pad
+    entries are exactly zero; `act` is the activation `eval_bridge` kept
+    at `args`, if at hand."""
+    if family.kind == AFFINE1:
+        parts = ((cot, args[0]), cot)
+    elif family.kind == AFFINE2:
+        parts = ((cot, args[0]), (cot, args[1]), cot)
+    else:
         act, dz = _mlp1h_back(family, params, args, cot, act)
-        return family.pack(_outer(dz, args[0]), dz, _outer(cot, act), cot)
-    lead, blocks = cot.shape[:-1], family._blocks
+        parts = ((dz, args[0]), dz, (cot, act), cot)
+    lead = cot.shape[:-1]
     rows = np.zeros(lead + (family.param_count,))
-    for (i, j, shape), a in zip(blocks, args):  # outer products into their blocks
-        np.multiply(cot[..., :, None], a[..., None, :], out=rows[..., i:j].reshape(lead + shape))
-    rows[..., slice(*blocks[len(args)][:2])] = cot
+    for (i, j, shape), part in zip(family._blocks, parts):
+        if shape is None:
+            rows[..., i:j] = part
+        else:
+            np.multiply(part[0][..., :, None], part[1][..., None, :],
+                        out=rows[..., i:j].reshape(lead + shape))
     return rows
 
 

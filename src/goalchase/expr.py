@@ -20,9 +20,9 @@ tree, rejects a side more than `MAX_DEPTH` levels deep.
 
 Trees are evaluated through a flat tape (`compile_tape`), built once per
 goal list, that runs a batch of probes forward (`run_forward`) and back
-(`run_reverse`); `vjp_expr` is its one-tree, one-vector view.  The tape
-runs each distinct op once and keeps mlp1h's activation for the reverse
-pass, which is reverse mode on that DAG: one adjoint per value, one
+(`run_reverse`) to fresh per-slot gradients.  The tape runs each
+distinct op once and keeps mlp1h's activation for the reverse pass,
+which is reverse mode on that DAG: one adjoint per value, one
 parameter-gradient row per op, and argument cotangents only where read,
 summed in the order `compile_tape` states.  An adjoint with one
 contribution is that contribution's register; unlike a copy 0 + it, that
@@ -52,7 +52,6 @@ __all__ = [
     "seq_from_text",
     "seq_to_text",
     "parse_sequence",
-    "vjp_expr",
     "node_count",
 ]
 
@@ -254,11 +253,11 @@ def _parse(seq: tuple, arities) -> tuple:
 # --- the tape: trees compiled once, run over a batch of probes -----------
 
 
-Tape = namedtuple("Tape", ["ops", "outputs", "steps", "rows", "probe_grads"])
+Tape = namedtuple("Tape", ["ops", "outputs", "steps", "rows"])
 
 
-def compile_tape(trees, probe_grads=False) -> Tape:
-    """Compile `trees` into one tape (ops, outputs, steps, rows, probe_grads).
+def compile_tape(trees) -> Tape:
+    """Compile `trees` into one tape (ops, outputs, steps, rows).
 
     Value register 0 holds the probes and op k, (slot, argument registers),
     writes register k + 1; an Apply whose (slot, argument registers)
@@ -268,11 +267,11 @@ def compile_tape(trees, probe_grads=False) -> Tape:
     adjoint: (None, regs) appends 0 + the sum of its contributions where
     there are several, the seeds in tree order, then its readers' in step
     order; (op, cot) appends op `op`'s argument cotangents at adjoint
-    `cot` when one is read, as an op's always is and the probes' only if
-    `probe_grads`.  `rows` holds, per slot, the columns (argument registers
-    per position, adjoint, op) of one row per op, in the order of its
-    first Apply in a walk of the trees; `probe_grads` is the probes'
-    adjoint register if `probe_grads`, else None.
+    `cot` when one is read, as an op's always is.  The probes' adjoint is
+    never read: a probe argument's cotangent is computed only when its op
+    has a step for another argument.  `rows` holds, per slot, the columns
+    (argument registers per position, adjoint, op) of one row per op, in
+    the order of its first Apply in a walk of the trees.
     """
     ops, walk = {}, []
     outputs = tuple(_emit(tree, 0, ops, walk) for tree in trees)
@@ -280,11 +279,11 @@ def compile_tape(trees, probe_grads=False) -> Tape:
     into = [[] for _ in range(len(table) + 1)]  # contributions per value
     for k, reg in enumerate(outputs):
         into[reg].append(k)
-    for reg in range(len(table), -1 if probe_grads else 0, -1):
+    for reg in range(len(table), 0, -1):
         if len(into[reg]) > 1:
             steps.append((None, tuple(into[reg])))
             into[reg] = [next(fresh)]
-        if reg and (probe_grads or any(table[reg - 1][1])):
+        if any(table[reg - 1][1]):
             steps.append((reg - 1, into[reg][0]))
             for arg in table[reg - 1][1]:
                 into[arg].append(next(fresh))
@@ -292,8 +291,7 @@ def compile_tape(trees, probe_grads=False) -> Tape:
     for op in dict.fromkeys(walk):
         rows.setdefault(table[op][0], []).append((*table[op][1], into[op + 1][0], op))
     return Tape(table, outputs, tuple(steps),
-                tuple((slot, tuple(zip(*r))) for slot, r in rows.items()),
-                into[0][0] if probe_grads else None)
+                tuple((slot, tuple(zip(*r))) for slot, r in rows.items()))
 
 
 def _emit(tree, reg, ops, walk):
@@ -328,15 +326,15 @@ def run_forward(tape: Tape, families, slots, probes) -> tuple:
     return values, acts
 
 
-def run_reverse(tape: Tape, families, slots, forward, seeds, grads) -> list:
-    """Add the per-slot gradients of sum_k seeds[k] . tree_k into `grads`
-    (a None entry is a fresh gradient, set only for a slot the tape uses)
-    and return the cotangent registers; `forward` is from `run_forward`.
-    A step hands `grad_args` no arguments, as it reads them only to
-    recompute an mlp1h `act` and `run_forward` keeps every one.  Then one
-    `grad_bridge` call per slot takes the rows of its `tape.rows` plan,
-    added in turn to its entry in `grads`: probe-major, then in plan order."""
+def run_reverse(tape: Tape, families, slots, forward, seeds) -> list:
+    """The per-slot gradients of sum_k seeds[k] . tree_k, None for a slot
+    the tape does not use; `forward` is from `run_forward`.  A step hands
+    `grad_args` no arguments: it reads them only to recompute an mlp1h
+    `act`, and `run_forward` keeps every one.  One `grad_bridge` call per
+    slot gives the rows of its `tape.rows` plan, added probe-major, then in
+    plan order, from the first, + 0.0: the bits of a sum from +0.0."""
     (values, acts), cots = forward, list(seeds)
+    grads = [None] * len(slots)
     for op, regs in tape.steps:
         if op is None:
             cots.append(sum((cots[r] for r in regs), 0.0))
@@ -348,28 +346,8 @@ def run_reverse(tape: Tape, families, slots, forward, seeds, grads) -> list:
                          [np.array([values[r] for r in regs]) for regs in args],
                          np.array([cots[r] for r in cot]), None if acts[act[0]] is None
                          else np.array([acts[op] for op in act]))
-        # rows to probe-major order, added one by one; a fresh gradient
-        # starts at its first row, as `feedback` explains
-        gp, g = gp.swapaxes(0, -2).reshape(-1, gp.shape[-1]), grads[slot]
-        grads[slot] = (np.add.accumulate(gp)[-1] + 0.0 if g is None else
-                       np.add.accumulate(np.concatenate([g[None], gp]))[-1])
-    return cots
-
-
-def vjp_expr(tree, families, slots, d):
-    """Evaluate a tree at the float probe vector `d`; return (value, pullback).
-
-    The one-vector view of the tree's tape.  Inside a Compose the inner
-    value becomes the probe seen by the outer subtree, so closed arguments
-    of a mid-chain factor consume the value flowing in from the right.
-    `pullback(cot, grads)` adds the per-slot gradients of `cot . value`
-    into the list `grads` and returns the gradient with respect to `d`,
-    read from the tape's probe adjoint register.
-    """
-    tape = compile_tape([tree], True)
-    forward = run_forward(tape, families, slots, d)
-    return forward[0][tape.outputs[0]], lambda cot, grads: run_reverse(
-        tape, families, slots, forward, [cot], grads)[tape.probe_grads]
+        grads[slot] = np.add.accumulate(gp.swapaxes(0, -2).reshape(-1, gp.shape[-1]))[-1] + 0.0
+    return grads
 
 
 def node_count(tree) -> int:
@@ -388,6 +366,11 @@ class EquationPairList:
     """Goal equations: each pair demands left side == right side pointwise."""
 
     pairs: tuple = ()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    _hash = cached_property(lambda self: hash(self.pairs))  # walked once per list
 
     @cached_property
     def _text(self) -> tuple:

@@ -11,10 +11,7 @@ never evaluates goals, and nothing here sees the law's state.
 
 The loss takes one `np.vecdot(er_k, er_k)` per pair and adds its entries
 probe by probe, then pair by pair: the order, and the bits, of the loop
-over `er_k[p] @ er_k[p]` it replaced.  A fresh gradient is its slot's
-rows folded one by one from the first, then + 0.0, not from a zero row:
-a start at +0.0 changes only the sign of a zero sum, never making one
--0.0, so adding +0.0 at the end gives the same bits.
+over `er_k[p] @ er_k[p]` it replaced.
 """
 
 from __future__ import annotations
@@ -71,11 +68,10 @@ def evaluate(cpair: EquationPairList, families, slots, probes):
                 total += dot
 
     def gradients() -> list:
-        grads = [None] * len(slots)
         cots = [2.0 / len(batch) * er for er in ers]
         with np.errstate(over="ignore", invalid="ignore"):
-            run_reverse(tape, families, slots, forward,
-                        [s for c in cots for s in (c, -c)], grads)
+            grads = run_reverse(tape, families, slots, forward,
+                                [s for c in cots for s in (c, -c)])
         return [np.zeros_like(s) if g is None else g for s, g in zip(slots, grads)]
 
     return total / len(batch), gradients

@@ -1,17 +1,30 @@
-"""Canonical scenario objects, and a residual helper, shared across the
-test suite.
+"""Canonical scenario objects, and residual and one-tree gradient helpers,
+shared across the test suite.
 
 Each builder returns a fresh JSON-style dict so tests can mutate freely.
 """
 
 import copy
 
+import numpy as np
+
+from goalchase.expr import compile_tape, run_forward, run_reverse
 from goalchase.feedback import _forward
 
 
 def feedback_error(cpair, families, slots, d) -> list:
     """Residual vectors [left_k(d) - right_k(d)] for every goal pair."""
     return _forward(cpair, families, slots, d)[2]
+
+
+def tree_vjp(tree, families, slots, d, cot) -> tuple:
+    """(value, per-slot gradients of cot . value) of one tree at the probe
+    vector `d`, from the tree's own tape; a slot it does not use gets zeros."""
+    tape = compile_tape([tree])
+    forward = run_forward(tape, families, slots, d)
+    grads = run_reverse(tape, families, slots, forward, [np.asarray(cot, dtype=float)])
+    return (forward[0][tape.outputs[0]],
+            [np.zeros_like(s) if g is None else g for s, g in zip(slots, grads)])
 
 
 UNIT_PROBES = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]

@@ -231,15 +231,24 @@ def test_family_json_round_trip():
         BridgeFamily.from_json({"kind": "affine1", "m": 2, "bogus": 1})
 
 
-# The kernels as first written, on (M @ X[..., None])[..., 0]: every
-# reshaping of the arithmetic must reproduce them byte for byte, since the
-# oracle tests call the same kernels and cannot see such a change.
+# The kernels as first written, on (M @ X[..., None])[..., 0], with each
+# parameter gradient concatenated from its blocks: every reshaping of the
+# arithmetic must reproduce them byte for byte, since the oracle tests call
+# the same kernels and cannot see such a change.
 def _mv(M, X):
     return (M @ X[..., None])[..., 0]
 
 
 def _outer(a, b):
     return a[..., :, None] * b[..., None, :]
+
+
+def _pack(fam, *blocks):
+    """Concatenate `blocks` (layout order, pad excluded; the last one a
+    vector) and a zero pad, if any, along the last axis, row by row."""
+    lead = blocks[-1].shape[:-1]
+    pad = [np.zeros(lead + (fam.pad,))] if fam.pad else []
+    return np.concatenate([b.reshape(lead + (-1,)) for b in blocks] + pad, axis=-1)
 
 
 def _matmul_eval(fam, params, args):
@@ -257,12 +266,12 @@ def _matmul_grads(fam, params, args, cot):
     """(parameter gradient, argument gradients) of cot . eval_bridge."""
     blocks = fam.blocks(params)
     if fam.kind != MLP1H:
-        return (fam.pack(*[_outer(cot, a) for a in args], cot),
+        return (_pack(fam, *[_outer(cot, a) for a in args], cot),
                 [_mv(M.T, cot) for M in blocks[:fam.arity]])
     W1, b1, W2, _, _ = blocks
     act = np.tanh(_mv(W1, args[0]) + b1)
     dz = _mv(W2.T, cot) * (1.0 - act * act)
-    return fam.pack(_outer(dz, args[0]), dz, _outer(cot, act), cot), [_mv(W1.T, dz)]
+    return _pack(fam, _outer(dz, args[0]), dz, _outer(cot, act), cot), [_mv(W1.T, dz)]
 
 
 def _same_bytes(got, want):

@@ -16,9 +16,9 @@ from goalchase.expr import (
     parse_sequence,
     seq_from_text,
     seq_to_text,
-    vjp_expr,
 )
 
+from scenarios import tree_vjp
 from test_expr_oracle import ARITIES, walked_goals
 
 UNARY3 = (1, 1, 1)
@@ -215,13 +215,11 @@ def _oracle_slots():
 
 
 def value(tree, families, slots, d):
-    return vjp_expr(tree, families, slots, d)[0]
+    return tree_vjp(tree, families, slots, d, np.zeros_like(d))[0]
 
 
 def slot_grads(tree, families, slots, d, cot):
-    grads = [np.zeros_like(s) for s in slots]
-    vjp_expr(tree, families, slots, d)[1](np.asarray(cot, dtype=float), grads)
-    return grads
+    return tree_vjp(tree, families, slots, d, cot)[1]
 
 
 def test_eval_chain_hand_value():
@@ -361,6 +359,23 @@ def test_equation_pairs_json_round_trip():
     assert len(compiled) == 2
     with pytest.raises(GrammarError):
         EquationPairList.from_json([["[0]"]])
+
+
+def test_equation_pair_list_walks_its_pairs_for_one_hash_only():
+    calls = []
+
+    class Counted:
+        def __hash__(self):
+            calls.append(1)
+            return 7
+
+    pairs = EquationPairList(((Counted(), ()),))
+    assert hash(pairs) == hash(pairs)
+    assert len(calls) == 1
+    # equality stays structural
+    assert pairs == EquationPairList(pairs.pairs)
+    assert hash(EquationPairList.from_json([["[0]", "[1]"]])) == hash(
+        EquationPairList.from_json([["[0]", "[1]"]]))
 
 
 def test_sequence_structures_are_hashable():

@@ -18,10 +18,11 @@ import numpy as np
 
 from goalchase.bridge import (AFFINE1, AFFINE2, MLP1H, BridgeFamily, eval_bridge,
                               grad_args, grad_bridge)
-from goalchase.expr import (Apply, Compose, EquationPairList, Identity, seq_from_text,
-                            vjp_expr)
+from goalchase.expr import Apply, Compose, EquationPairList, Identity, seq_from_text
 from goalchase.feedback import compile_pairs, loss_gradients
 from goalchase.goallaw import GRAMMAR_WALK, LawSpec, initial_law_state, step_law
+
+from scenarios import tree_vjp
 
 
 def eval_expr(tree, families, slots, d):
@@ -100,8 +101,8 @@ def _evaluation(tree, arg):
 
 def dag_vjp(trees, families, slots, d, seeds, grads):
     """Add the per-slot gradients of sum_k seeds[k] . tree_k(d) into `grads`
-    and return the gradient wrt the probe `d`, by reverse mode on the DAG
-    of distinct terms, numbered in evaluation order."""
+    by reverse mode on the DAG of distinct terms, numbered in evaluation
+    order."""
     ops = list(dict.fromkeys(t for tree in trees for t in _evaluation(tree, "d")))
     values = {"d": np.asarray(d, dtype=float)}
     for slot, args in ops:
@@ -118,7 +119,6 @@ def dag_vjp(trees, families, slots, d, seeds, grads):
     for slot, args in dict.fromkeys(t for tree in trees for t in _walk(tree, "d")):
         grads[slot] += grad_bridge(families[slot], slots[slot],
                                    [values[a] for a in args], adjoint[slot, args])
-    return sum(into["d"], 0.0)
 
 
 def dag_loss_gradients(trees, families, slots, probes):
@@ -194,17 +194,15 @@ def test_single_pass_matches_dag_oracle_exactly():
             for tree in (t for pair in compile_pairs(cpair, FAMILIES) for t in pair):
                 deepest = max(deepest, binary_depth(tree))
                 cot = gen.uniform(-1, 1, 2)
-                value, pullback = vjp_expr(tree, FAMILIES, slots, d)
+                value, grads = tree_vjp(tree, FAMILIES, slots, d, cot)
                 assert np.array_equal(value, eval_expr(tree, FAMILIES, slots, d))
-                grads = [np.zeros_like(s) for s in slots]
                 expected = [np.zeros_like(s) for s in slots]
-                dd = pullback(cot, grads)
-                assert np.array_equal(dd, dag_vjp([tree], FAMILIES, slots, d, [cot], expected))
+                dag_vjp([tree], FAMILIES, slots, d, [cot], expected)
                 for g, e in zip(grads, expected):
                     assert np.array_equal(g, e)
                 reference = [np.zeros_like(s) for s in slots]
-                ddr = _vjp(tree, FAMILIES, slots, d, cot, reference)
-                assert_close(grads + [dd], reference + [ddr])
+                _vjp(tree, FAMILIES, slots, d, cot, reference)
+                assert_close(grads, reference)
     assert deepest >= 3  # the walk nested wrap_heads tuples inside each other
 
 
@@ -234,8 +232,8 @@ ARITY1_GOALS = [(AFFINE_PAIR, [["[0,1]", "[1,0]"]])] + [
 def test_arity1_chains_match_recursive_oracle_byte_for_byte():
     # no op of these goals is shared and every adjoint has one
     # contribution, so the DAG pass adds the occurrence walk's rows in its
-    # order; slot gradients start at +0.0, so their bits, zero signs
-    # included, are those of `_vjp`, whose probe gradient is 0 + its value
+    # order; slot gradients end + 0.0, so their bits, zero signs included,
+    # are those of `_vjp`, which adds them from +0.0
     gen, zeros = np.random.Generator(np.random.PCG64(64)), 0
     for families, goals in ARITY1_GOALS:
         cpair = EquationPairList.from_json(goals)
@@ -251,13 +249,10 @@ def test_arity1_chains_match_recursive_oracle_byte_for_byte():
                 zeros += not g.all()
             d, cot = probes[0], gen.uniform(-1, 1, 2)
             for tree in (t for pair in trees for t in pair):
-                value, pullback = vjp_expr(tree, families, slots, d)
+                value, grads = tree_vjp(tree, families, slots, d, cot)
                 assert value.tobytes() == eval_expr(tree, families, slots, d).tobytes()
-                grads = [np.zeros_like(s) for s in slots]
                 expected = [np.zeros_like(s) for s in slots]
-                dd = pullback(cot, grads)
-                assert (dd + 0.0).tobytes() == _vjp(tree, families, slots, d, cot,
-                                                   expected).tobytes()
+                _vjp(tree, families, slots, d, cot, expected)
                 for g, e in zip(grads, expected):
                     assert g.tobytes() == e.tobytes()
     assert zeros > 0  # the trials put exact zeros into gradients

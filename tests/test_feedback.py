@@ -370,7 +370,8 @@ def test_loss_equals_the_matmul_loop_bit_for_bit(m, count):
 
 def test_fresh_fold_equals_the_zero_row_fold_byte_for_byte(monkeypatch):
     # the reverse pass folds whatever rows grad_bridge hands it: here rows
-    # of -0.0, infinities and more, for 3 Applies at 2 probes of slot 0
+    # of -0.0, infinities and more, for 3 Applies at 2 probes of slot 0,
+    # against the same rows added probe-major to a row of +0.0
     families = [BridgeFamily(AFFINE1, m=2)]
     slots = [np.zeros(6)]
     tape = expr.compile_tape([expr.parse_sequence((0, 0, 0), (1,))])
@@ -380,12 +381,15 @@ def test_fresh_fold_equals_the_zero_row_fold_byte_for_byte(monkeypatch):
     cases = [np.full((3, 2, 6), -0.0), np.where(np.arange(36) % 2, -0.0, np.inf)]
     cases += [gen.choice(values, size=(3, 2, 6)) for _ in range(300)]
     for rows in cases:
-        monkeypatch.setattr(expr, "grad_bridge", lambda *a, rows=rows: rows.reshape(3, 2, 6))
-        fresh, zero_row = [None], [np.zeros(6)]
+        rows = rows.reshape(3, 2, 6)
+        monkeypatch.setattr(expr, "grad_bridge", lambda *a, rows=rows: rows)
+        zero_row = np.zeros(6)
         with np.errstate(over="ignore", invalid="ignore"):
-            expr.run_reverse(tape, families, slots, forward, [np.zeros((2, 2))], fresh)
-            expr.run_reverse(tape, families, slots, forward, [np.zeros((2, 2))], zero_row)
-        assert fresh[0].tobytes() == zero_row[0].tobytes()
+            fresh, = expr.run_reverse(tape, families, slots, forward, [np.zeros((2, 2))])
+            for p in range(2):
+                for row in rows[:, p]:
+                    zero_row = zero_row + row
+        assert fresh.tobytes() == zero_row.tobytes()
 
 
 def test_evaluate_takes_a_list_of_probes_or_their_array():

@@ -1,13 +1,15 @@
 """Import hygiene of the package, checked with the standard library only.
 
 Each module must use every name it imports (the package `__init__` only
-re-exports, so it is exempt), every `__all__` entry must exist,
-`simulator.iterate` is the one loop that calls `simulator.step`, and
-`expr` alone decides how deep a goal side may be.
+re-exports, so it is exempt), every `__all__` entry must exist, every
+public function must have a user, `simulator.iterate` is the one loop
+that calls `simulator.step`, and `expr` alone decides how deep a goal
+side may be.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -42,6 +44,33 @@ def test_all_entries_are_defined(name):
     module = importlib.import_module(f"goalchase.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"goalchase.{name}.__all__ names undefined {missing}"
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_every_public_function_has_a_user():
+    # a function in a module's __all__ is loaded by name in the package
+    # outside its own definition, imported by the package __init__, or
+    # named by the benchmark (the tracer's targets and the layer timings)
+    trees = {name: ast.parse((PACKAGE / f"{name}.py").read_text())
+             for name in MODULES + ["__init__"]}
+    reexported = set(imported_names(trees["__init__"]))
+    benchmark = "\n".join(p.read_text() for p in PERFBENCH.glob("*.py"))
+    unused = []
+    for name in (m for m in MODULES if m != "__main__"):  # importing it starts the CLI
+        exported = getattr(importlib.import_module(f"goalchase.{name}"), "__all__", ())
+        for fn in (n for n in trees[name].body
+                   if isinstance(n, ast.FunctionDef) and n.name in exported):
+            own = {id(n) for n in ast.walk(fn)}
+            loaded = any(getattr(n, "id", getattr(n, "attr", None)) == fn.name
+                         and isinstance(getattr(n, "ctx", None), ast.Load)
+                         and id(n) not in own
+                         for tree in trees.values() for n in ast.walk(tree))
+            if not (loaded or fn.name in reexported
+                    or re.search(rf"\b{fn.name}\b", benchmark)):
+                unused.append(f"{name}.{fn.name}")
+    assert not unused, f"public functions nothing uses: {unused}"
 
 
 def step_calls(tree):

@@ -6,7 +6,7 @@ each adjoint's contributions (seeds in tree order, then readers in step
 order) only where there are several, and computes argument cotangents
 only where one is read.  Each op adds one parameter-gradient row at its
 adjoint, in the order of its first Apply in a walk of the trees.  So
-loss, gradients, residuals and the probe gradient of `vjp_expr` must
+loss, gradients, residuals and each tree's own slot gradients must
 equal the per-probe DAG oracle exactly, loss and gradients byte for
 byte, and the reverse work tracks ops, not tree nodes.
 """
@@ -18,13 +18,12 @@ import pytest
 
 from goalchase import expr
 from goalchase.bridge import AFFINE1, AFFINE2, MLP1H, BridgeFamily
-from goalchase.expr import (Apply, Compose, EquationPairList, compile_tape, node_count,
-                            vjp_expr)
+from goalchase.expr import Apply, Compose, EquationPairList, node_count
 from goalchase.feedback import _compile_cached, compile_pairs, evaluate
 from goalchase.goallaw import (GRAMMAR_WALK, MUT_WRAP_HEADS, LawSpec, _mutate,
                                initial_law_state, step_law)
 
-from scenarios import feedback_error
+from scenarios import feedback_error, tree_vjp
 from test_expr_oracle import (ARITIES, FAMILIES, _walk, dag_loss_gradients, dag_vjp,
                               eval_expr, walked_goals)
 
@@ -42,11 +41,6 @@ def test_commute_tape_has_four_ops_and_two_live_grad_args():
     assert tape.steps == ((3, 1), (1, 0))
     # one row per op, each side's head before its last factor
     assert tape.rows == ((0, ((1, 0), (0, 2), (1, 2))), (1, ((0, 3), (3, 1), (0, 3))))
-    # the one-tree view reads the probe gradient, so every op has a step;
-    # every op has one reader, so no adjoint needs a sum
-    (left, _), = compile_pairs(commute, FAMILIES[1:])
-    full = compile_tape([left], True)
-    assert full.steps == ((1, 0), (0, 1)) and full.probe_grads == 2
 
 
 def test_wrap_heads_goal_shares_its_head_ops():
@@ -96,12 +90,10 @@ def test_pruned_tape_matches_oracle_exactly(count):
             assert np.array_equal(g, e)
         d, cot = probes[0], gen.uniform(-1, 1, 2)
         for tree in (t for pair in trees for t in pair):
-            value, pullback = vjp_expr(tree, FAMILIES, slots, d)
+            value, grads = tree_vjp(tree, FAMILIES, slots, d, cot)
             assert np.array_equal(value, eval_expr(tree, FAMILIES, slots, d))
-            grads = [np.zeros_like(s) for s in slots]
             expected_grads = [np.zeros_like(s) for s in slots]
-            assert np.array_equal(pullback(cot, grads),
-                                  dag_vjp([tree], FAMILIES, slots, d, [cot], expected_grads))
+            dag_vjp([tree], FAMILIES, slots, d, [cot], expected_grads)
             for g, e in zip(grads, expected_grads):
                 assert np.array_equal(g, e)
 
@@ -163,9 +155,8 @@ def test_row_plan_lists_each_op_once_and_no_sum_copies():
         for slot, (*args, _, ops) in tape.rows:
             assert [tape.ops[op] for op in ops] == [(slot, a) for a in zip(*args)]
             assert [terms[op + 1] for op in ops] == [t for t in walk if t[0] == slot]
-        for t in (tape, compile_tape(trees, True)):
-            assert all(len(regs) > 1 for op, regs in t.steps if op is None)
-            assert len(t.steps) <= 2 * len(t.ops) + 1
+        assert all(len(regs) > 1 for op, regs in tape.steps if op is None)
+        assert len(tape.steps) <= 2 * len(tape.ops)
 
 
 def _zeroed_trials(gen):
