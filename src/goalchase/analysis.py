@@ -42,9 +42,7 @@ def _max_abs_deviation(xs, ys) -> float:
 
 
 def _state_deviation(a: SlotState, b: SlotState) -> float:
-    if a.probe_cursor != b.probe_cursor or not np.array_equal(
-        a.rng_words, b.rng_words
-    ):
+    if a.probe_cursor != b.probe_cursor or a.rng_words != b.rng_words:
         return float("inf")
     return _max_abs_deviation([a.params, a.momentum, a.probe],
                               [b.params, b.momentum, b.probe])

@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from . import analysis, simulator
 from .bridge import MLP1H
 from .core import (ConfigError, DivergenceError, config_from_json, finite_float,
                    init_state, parse_pairs, require_int)
-from .goallaw import initial_law_state
+from .goallaw import GRAMMAR_WALK, SCHEDULE, initial_law_state
 from .prng import new_words
 
 EXIT_OK = 0
@@ -240,21 +241,23 @@ def cmd_witness(args) -> int:
             raise ConfigError("--alt-w", f"invalid JSON: {e}") from e
         if not isinstance(overrides, dict):
             raise ConfigError("--alt-w", "expected a JSON object")
-        known = {"program_counter", "macro_count", "law_seed", "pairs"}
-        extra = set(overrides) - known
+        # the law state numbers each kind's law reads, with their upper bounds
+        kind, program = config.law.kind, config.law.program
+        reads = {SCHEDULE: {"program_counter": len(program), "macro_count": None},
+                 GRAMMAR_WALK: {"law_seed": 2**64}}.get(kind, {})
+        extra = sorted(set(overrides) - {"pairs", *reads})
         if extra:
-            raise ConfigError(f"--alt-w.{sorted(extra)[0]}", "unknown key")
-        for key in ("program_counter", "macro_count"):
-            if key in overrides:
-                setattr(alt, key, require_int(overrides, key, lo=0,
-                                              path=f"--alt-w.{key}"))
-        if "law_seed" in overrides:
-            alt.rng_words = new_words(require_int(
-                overrides, "law_seed", lo=0, hi=2**64, path="--alt-w.law_seed"
-            ))
+            known = extra[0] in ("program_counter", "macro_count", "law_seed")
+            raise ConfigError(f"--alt-w.{extra[0]}", f"key not allowed for kind {kind!r}"
+                              if known else "unknown key")
+        changes = {key: require_int(overrides, key, lo=0, hi=hi, path=f"--alt-w.{key}")
+                   for key, hi in reads.items() if key in overrides}
+        if "law_seed" in changes:
+            changes["rng_words"] = new_words(changes.pop("law_seed"))
         if "pairs" in overrides:
-            alt.cpair = parse_pairs(overrides["pairs"], "--alt-w.pairs",
-                                    config.arities, config.law.kind)
+            changes["cpair"] = parse_pairs(overrides["pairs"], "--alt-w.pairs",
+                                           config.arities, kind)
+        alt = replace(alt, **changes)
     if not args.out:
         report = analysis.divergence_witness(config, alt, threshold=args.threshold)
     else:

@@ -77,14 +77,15 @@ class SlotState:
 
     `params` holds every slot's entries back to back, in slot order, and
     `slots` are views of its spans between consecutive `bounds`.  The
-    velocity buffer `momentum` shares that layout; `rng_words` and
-    `probe_cursor` drive the probe, and `probe` is the current one.
+    velocity buffer `momentum` shares that layout; `rng_words`, the
+    run's PRNG words (an int tuple, see `prng`), and `probe_cursor` drive
+    the probe, and `probe` is the current one.
     """
 
     params: np.ndarray
     momentum: np.ndarray
     bounds: tuple
-    rng_words: np.ndarray
+    rng_words: tuple
     probe: np.ndarray
     probe_cursor: int = 0
 

@@ -99,8 +99,8 @@ def control_step(
     """One controller tick: momentum descent along `grads`, then probe advance.
 
     v' = mu v + g;  params' = (1 - drift) params - eta v'.  In fixed_set mode
-    the probe advances cyclically through `probes` and the PRNG words are
-    left untouched; in resample mode a fresh probe is drawn from the words.
+    the probe advances cyclically through `probes` and the PRNG words carry
+    over as they are; in resample mode a fresh probe is drawn from them.
     """
     g = np.concatenate(grads)
     finite = np.isfinite(g)
@@ -109,15 +109,14 @@ def control_step(
         raise DivergenceError(f"non-finite gradient in slot {slot}")
     momentum = mu * state.momentum + g
     params = (1.0 - drift) * state.params - eta * momentum
+    words, cursor = state.rng_words, 0
     if probe_mode == FIXED_SET:
         cursor = (state.probe_cursor + 1) % len(probes)
         probe = probes[cursor].copy()
-        words = state.rng_words.copy()
     elif probe_mode == RESAMPLE:
-        gen = rng_from_words(state.rng_words)
+        gen = rng_from_words(words)
         probe = gen.uniform(-1.0, 1.0, size=state.probe.shape[0])
         words = rng_to_words(gen)
-        cursor = 0
     else:
         raise ValueError(f"unknown probe_mode {probe_mode!r}")
     return SlotState(params, momentum, state.bounds, words, probe, cursor)

@@ -85,18 +85,17 @@ class LawSpec:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class LawState:
-    """Dynamic law state: current goals plus the law's own bookkeeping."""
+    """Dynamic law state, a value: current goals plus the law's own
+    bookkeeping.  `rng_words` are the grammar walk's PRNG words (see
+    `prng`), None for the other kinds.  A step returns a new state, and a
+    variant is made with `dataclasses.replace`."""
 
     cpair: EquationPairList
     program_counter: int = 0
     macro_count: int = 0
-    rng_words: np.ndarray | None = None
-
-    def copy(self) -> "LawState":
-        words = None if self.rng_words is None else self.rng_words.copy()
-        return LawState(self.cpair, self.program_counter, self.macro_count, words)
+    rng_words: tuple | None = None
 
 
 def initial_law_state(spec: LawSpec) -> LawState:

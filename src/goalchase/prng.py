@@ -1,8 +1,10 @@
-"""PRNG state packed as plain integer words.
+"""PRNG state as a value: one tuple of plain ints.
 
-Generators are never stored on state objects; instead the PCG64 state is
-round-tripped through a uint64 word vector so states stay plain values
-and every draw sequence is reproducible from the words alone.
+Generators are never stored on state objects; the PCG64 state is carried
+as its words `(state, inc, has_uint32, uinteger)`, so states stay values
+and every draw sequence is reproducible from the words alone.  Only this
+module builds or unpacks them, and input reaches them only as a seed that
+the config boundary has checked, so nothing here checks them again.
 `rng_from_words` re-seats one module-level bit generator, so the generator
 it returns is valid only until its next call.
 """
@@ -11,48 +13,31 @@ from __future__ import annotations
 
 import numpy as np
 
-WORD_COUNT = 6
-_MASK64 = (1 << 64) - 1
-
-__all__ = ["WORD_COUNT", "new_words", "rng_from_words", "rng_to_words"]
+__all__ = ["new_words", "rng_from_words", "rng_to_words"]
 
 
-def new_words(seed: int) -> np.ndarray:
-    """Fresh word vector for a 64-bit seed."""
-    return rng_to_words(np.random.Generator(np.random.PCG64(int(seed))))
+def new_words(seed: int) -> tuple:
+    """Fresh words for a 64-bit seed."""
+    return rng_to_words(np.random.Generator(np.random.PCG64(seed)))
 
 
-def rng_to_words(gen: np.random.Generator) -> np.ndarray:
+def rng_to_words(gen: np.random.Generator) -> tuple:
+    """The words of a PCG64 generator's current state."""
     st = gen.bit_generator.state
-    if st["bit_generator"] != "PCG64":
-        raise ValueError(f"unsupported bit generator {st['bit_generator']!r}")
-    s = st["state"]["state"]
-    inc = st["state"]["inc"]
-    words = [
-        s >> 64,
-        s & _MASK64,
-        inc >> 64,
-        inc & _MASK64,
-        st["has_uint32"],
-        st["uinteger"],
-    ]
-    return np.array(words, dtype=np.uint64)
+    return st["state"]["state"], st["state"]["inc"], st["has_uint32"], st["uinteger"]
 
 
 # the one bit generator `rng_from_words` re-seats (a constant seed draws no entropy)
 _BIT_GENERATOR = np.random.PCG64(0)
 
 
-def rng_from_words(words: np.ndarray) -> np.random.Generator:
+def rng_from_words(words: tuple) -> np.random.Generator:
     """A generator at the state `words`, valid until the next call."""
-    words = np.asarray(words, dtype=np.uint64)
-    if words.shape != (WORD_COUNT,):
-        raise ValueError(f"expected {WORD_COUNT} state words, got {words.shape}")
-    w = [int(x) for x in words]
+    state, inc, has_uint32, uinteger = words
     _BIT_GENERATOR.state = {
         "bit_generator": "PCG64",
-        "state": {"state": (w[0] << 64) | w[1], "inc": (w[2] << 64) | w[3]},
-        "has_uint32": w[4],
-        "uinteger": w[5],
+        "state": {"state": state, "inc": inc},
+        "has_uint32": has_uint32,
+        "uinteger": uinteger,
     }
     return np.random.Generator(_BIT_GENERATOR)

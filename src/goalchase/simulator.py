@@ -77,11 +77,11 @@ def step(sim: SimState) -> SimState:
 
 def iterate(config: ScenarioConfig, law_state: LawState | None = None):
     """Yield the SimState at t = 0, 1, ..., config.steps, each one before
-    the step out of it runs.  `law_state` replaces the configured initial
-    law state; the controller state is untouched."""
-    sim = new_sim(config)
-    if law_state is not None:
-        sim = SimState(config, sim.sub, law_state.copy())
+    the step out of it runs.  `law_state`, a frozen value that the run
+    starts from as it is, replaces the configured initial law state; the
+    controller state is untouched."""
+    sim = new_sim(config) if law_state is None else SimState(
+        config, init_state(config), law_state)
     yield sim
     for _ in range(config.steps):
         sim = step(sim)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -496,11 +497,57 @@ def test_witness_rejects_bad_pairs(tmp_path, capsys):
     ('{"program_counter": true}', "program_counter"),
 ])
 def test_witness_rejects_bad_law_state_number(tmp_path, capsys, alt_w, key):
-    cfg = write_config(tmp_path, goal_switch_obj(steps=50))
+    # only a grammar walk reads `law_seed`, only a schedule the counters
+    obj = walk_obj(steps=50, K=10) if key == "law_seed" else goal_switch_obj(steps=50)
+    cfg = write_config(tmp_path, obj)
     assert main(["witness", "--config", cfg, "--alt-w", alt_w]) == 2
     err = capsys.readouterr().err
     assert f"config error: --alt-w.{key}:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("obj,alt_w,key,kind", [
+    (goal_switch_obj, '{"law_seed": 3}', "law_seed", "schedule"),
+    (commute_obj, '{"law_seed": 3}', "law_seed", "identity"),
+    (walk_obj, '{"program_counter": 1}', "program_counter", "grammar_walk"),
+    (walk_obj, '{"macro_count": 4}', "macro_count", "grammar_walk"),
+    (commute_obj, '{"macro_count": 4}', "macro_count", "identity"),
+])
+def test_witness_rejects_a_law_state_key_the_law_never_reads(
+        tmp_path, capsys, obj, alt_w, key, kind):
+    cfg = write_config(tmp_path, obj(steps=50))
+    assert main(["witness", "--config", cfg, "--alt-w", alt_w]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: --alt-w.{key}: key not allowed for kind {kind!r}" in err
+    assert "Traceback" not in err
+
+
+def test_witness_rejects_a_program_counter_past_the_program(tmp_path, capsys):
+    cfg = write_config(tmp_path, goal_switch_obj(steps=50))  # a 2-entry program
+    assert main(["witness", "--config", cfg, "--alt-w", '{"program_counter": 2}']) == 2
+    err = capsys.readouterr().err
+    assert "config error: --alt-w.program_counter: must be < 2, got 2" in err
+
+
+# sha256 of the grammar_walk demo's witness tree with `law_seed` and
+# `pairs` overridden, so the alternative law state is built from both
+WALK_WITNESS_DIGESTS = {
+    "witness_report.json": "3658faee3d6c107824d39ebed6ccfbc38b5bde1abad8a232062210f52ece472c",
+    "a/trajectory.jsonl": "c5cc27f9128ab666d313c17c548a8c46105828908d537a68d95d8aa540ec8813",
+    "b/trajectory.jsonl": "2daab9a08fee163c5b944836ea7714c9de60829416150377f487908a5303164c",
+}
+
+
+def test_witness_grammar_walk_seed_and_pairs_override_digests(tmp_path, capsys):
+    cfg = Path(__file__).resolve().parents[1] / "demos" / "configs" / "grammar_walk.json"
+    out = tmp_path / "wit"
+    assert main([
+        "witness", "--config", str(cfg), "--out", str(out),
+        "--alt-w", '{"law_seed": 3, "pairs": [["[0,1]", "[1,0]"]]}',
+    ]) == 0
+    assert last_json(capsys)["first_divergence_step"] == 501
+    for name, digest in WALK_WITNESS_DIGESTS.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_sweep_runs_grid(tmp_path, capsys):

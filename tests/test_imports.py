@@ -3,8 +3,8 @@
 Each module must use every name it imports (the package `__init__` only
 re-exports, so it is exempt), every `__all__` entry must exist, every
 public function must have a user, `simulator.iterate` is the one loop
-that calls `simulator.step`, and `expr` alone decides how deep a goal
-side may be.
+that calls `simulator.step`, `expr` alone decides how deep a goal side
+may be, and `prng` alone decides the layout of the PRNG words.
 """
 
 import ast
@@ -103,3 +103,31 @@ def test_only_expr_names_the_depth_bound():
                 names.setdefault(getattr(node, attr, None), set()).add(name)
     assert names.get("MAX_DEPTH") == {"expr"}, names.get("MAX_DEPTH")
     assert "tree_depth" not in names, names["tree_depth"]
+
+
+def _names_words(node):
+    # `rng_words`, a local `words`, or the words `prng` hands out
+    if isinstance(node, ast.Call):
+        node = node.func
+    return getattr(node, "id", getattr(node, "attr", None)) in {
+        "rng_words", "words", "new_words", "rng_to_words"}
+
+
+def test_only_prng_looks_inside_the_words():
+    # elsewhere the words are passed, kept and compared whole: never
+    # indexed, sliced, iterated or unpacked
+    inside = []
+    for name in (m for m in MODULES if m != "prng"):
+        for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())):
+            if isinstance(node, (ast.Subscript, ast.Starred)):
+                words = node.value
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                words = node.iter
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, (ast.Tuple, ast.List)) for t in node.targets):
+                words = node.value
+            else:
+                continue
+            if _names_words(words):
+                inside.append(f"{name}: {ast.unparse(node)}")
+    assert not inside, inside

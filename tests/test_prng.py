@@ -8,13 +8,13 @@ from goalchase.prng import new_words, rng_from_words, rng_to_words
 
 
 def _fresh(words):
-    w = [int(x) for x in words]
+    state, inc, has_uint32, uinteger = words
     bg = np.random.PCG64(0)
     bg.state = {
         "bit_generator": "PCG64",
-        "state": {"state": (w[0] << 64) | w[1], "inc": (w[2] << 64) | w[3]},
-        "has_uint32": w[4],
-        "uinteger": w[5],
+        "state": {"state": state, "inc": inc},
+        "has_uint32": has_uint32,
+        "uinteger": uinteger,
     }
     return np.random.Generator(bg)
 
