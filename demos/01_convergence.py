@@ -20,15 +20,16 @@ CONFIG = Path(__file__).parent / "configs" / "commute.json"
 def main():
     config = config_from_json(json.loads(CONFIG.read_text()))
     records, _ = run(config)
-    by_t = {r.t: r for r in records}
-    print(f"goal: {records[0].pairs[0][0]} == {records[0].pairs[0][1]}")
+    by_t = {r["t"]: r for r in records}
+    left, right = records[0]["pairs"][0]
+    print(f"goal: {left} == {right}")
     print("step      loss")
     for t in [0, 10, 100, 500, 1000, 2500, 5000]:
-        print(f"{t:>5}  {by_t[t].loss:.3e}")
+        print(f"{t:>5}  {by_t[t]['loss']:.3e}")
     drops = sum(
-        by_t[t + 1].loss > by_t[t].loss + 1e-24 for t in range(10, config.steps)
+        by_t[t + 1]["loss"] > by_t[t]["loss"] + 1e-24 for t in range(10, config.steps)
     )
-    print(f"\nfinal loss below 1e-8: {by_t[config.steps].loss < 1e-8}")
+    print(f"\nfinal loss below 1e-8: {by_t[config.steps]['loss'] < 1e-8}")
     print(f"loss increases after step 10 (beyond roundoff): {drops}")
 
 

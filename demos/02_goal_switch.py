@@ -19,17 +19,18 @@ CONFIG = Path(__file__).parent / "configs" / "goal_switch.json"
 def main():
     config = config_from_json(json.loads(CONFIG.read_text()))
     records, sim = run(config)
-    by_t = {r.t: r for r in records}
+    by_t = {r["t"]: r for r in records}
     K = config.K
     print(f"law events seen: {sim.law.macro_count}")
     print("event   t(pre)   loss(pre)    loss(post)   loss(+2000)  new goal")
     for j in range(1, sim.law.macro_count + 1):
         pre, post = by_t[j * K], by_t[j * K + 1]
         settled = by_t.get(j * K + 2000)
-        tail = f"{settled.loss:.3e}" if settled else "        --"
-        goal = f"{post.pairs[0][0]} == {post.pairs[0][1]}"
+        tail = f"{settled['loss']:.3e}" if settled else "        --"
+        left, right = post["pairs"][0]
+        goal = f"{left} == {right}"
         print(
-            f"{j:>5} {pre.t:>8} {pre.loss:>12.3e} {post.loss:>12.3e} "
+            f"{j:>5} {pre['t']:>8} {pre['loss']:>12.3e} {post['loss']:>12.3e} "
             f"{tail:>12}  {goal}"
         )
 

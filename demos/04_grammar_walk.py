@@ -22,8 +22,8 @@ def goal_stream(config):
     records, _ = run(config)
     seen = []
     for rec in records:
-        if not seen or rec.pairs != seen[-1][1]:
-            seen.append((rec.t, rec.pairs))
+        if not seen or rec["pairs"] != seen[-1][1]:
+            seen.append((rec["t"], rec["pairs"]))
     return records, seen
 
 
@@ -40,7 +40,7 @@ def main():
     _, stream_b = goal_stream(other)
     same = [p for _, p in stream] == [p for _, p in stream_b]
     print(f"\nsame goal stream under init_seed=999: {same}")
-    print(f"final loss on the current goal: {records[-1].loss:.3e}")
+    print(f"final loss on the current goal: {records[-1]['loss']:.3e}")
 
 
 if __name__ == "__main__":

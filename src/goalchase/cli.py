@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis, simulator
 from .bridge import MLP1H
 from .core import (ConfigError, DivergenceError, config_from_json, finite_float,
-                   init_state, parse_pairs, require_int)
+                   init_state, parse_pairs, require_int, require_pair_texts)
 from .goallaw import GRAMMAR_WALK, SCHEDULE, initial_law_state
 from .prng import new_words
 
@@ -106,8 +106,8 @@ def cmd_run(args) -> int:
             {
                 "out": str(args.out),
                 "records": len(records),
-                "final_t": last.t,
-                "final_loss": last.loss,
+                "final_t": last["t"],
+                "final_loss": last["loss"],
             }
         )
     )
@@ -160,17 +160,19 @@ def _read_records(path: Path) -> list:
     for n, ln in enumerate(lines, 1):
         if not ln.strip():
             continue
+        where = f"{path}:{n}"
         try:
             rec = json.loads(ln)
         except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}:{n}", f"invalid JSON: {e.msg}") from e
+            raise ConfigError(where, f"invalid JSON: {e.msg}") from e
         if not isinstance(rec, dict) or not {"t", "T", "pairs"} <= rec.keys():
-            raise ConfigError(f"{path}:{n}", "record needs keys t, T and pairs")
+            raise ConfigError(where, "record needs keys t, T and pairs")
+        for field in ("t", "T"):
+            require_int(rec, field, lo=0, path=f"{where}: {field}")
+        require_pair_texts(rec["pairs"], f"{where}: pairs")
         for field, depth in _NUMERIC_FIELDS.items():
             if field in rec and not _is_numeric(rec[field], depth):
-                raise ConfigError(
-                    f"{path}:{n}", f"{field}: expected finite numbers"
-                )
+                raise ConfigError(where, f"{field}: expected finite numbers")
         out.append(rec)
     return out
 
@@ -297,7 +299,7 @@ def cmd_sweep(args) -> int:
                     "run": idx,
                     "dir": str(run_dir),
                     "overrides": overrides,
-                    "final_loss": records[-1].loss,
+                    "final_loss": records[-1]["loss"],
                 }
             )
         )

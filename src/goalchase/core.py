@@ -1,4 +1,4 @@
-"""Scenario configuration, the controlled state, and trajectory records.
+"""Scenario configuration and the controlled state.
 
 A scenario fixes the probe dimension m, a list of parameter slots (each
 interpreted by a bridge family), the controller knobs, the rewrite law,
@@ -42,13 +42,13 @@ __all__ = [
     "DivergenceError",
     "SlotState",
     "ScenarioConfig",
-    "TrajectoryRecord",
     "config_from_json",
     "config_from_json_str",
     "finite_float",
     "init_state",
     "parse_pairs",
     "require_int",
+    "require_pair_texts",
 ]
 
 
@@ -205,9 +205,8 @@ def _require_float(obj, key, default=None):
     return val
 
 
-def parse_pairs(obj, key: str, arities, law_kind=None) -> EquationPairList:
-    """Goal pairs from JSON, each side a string whose sequence
-    `expr.parse_sequence` accepts under the arity table."""
+def require_pair_texts(obj, key: str) -> None:
+    """Check that obj is a JSON list of [left, right] pairs of strings."""
     if not isinstance(obj, list):
         raise ConfigError(key, f"expected a list of [left, right] pairs")
     for k, entry in enumerate(obj):
@@ -217,6 +216,12 @@ def parse_pairs(obj, key: str, arities, law_kind=None) -> EquationPairList:
             if not isinstance(text, str):
                 raise ConfigError(f"{key}[{k}][{side}]",
                                   f"expected goal text, got {text!r}")
+
+
+def parse_pairs(obj, key: str, arities, law_kind=None) -> EquationPairList:
+    """Goal pairs from JSON, each side a string whose sequence
+    `expr.parse_sequence` accepts under the arity table."""
+    require_pair_texts(obj, key)
     try:
         pairs = EquationPairList.from_json(obj)
     except (GrammarError, TypeError, ValueError) as e:
@@ -394,33 +399,3 @@ def init_state(config: ScenarioConfig) -> SlotState:
         probe = gen.uniform(-1.0, 1.0, size=config.m)
     return SlotState(params, np.zeros(bounds[-1]), bounds, rng_to_words(gen), probe)
 
-
-# --- records ----------------------------------------------------------------
-
-
-@dataclass
-class TrajectoryRecord:
-    """One logged point: counters, loss, active goals, and a state digest."""
-
-    t: int
-    T: int
-    loss: float
-    pairs: list
-    x_norms: list
-    d: list
-    macro: bool = False
-    slots: list | None = None
-
-    def to_json_obj(self) -> dict:
-        obj = {
-            "t": self.t,
-            "T": self.T,
-            "loss": self.loss,
-            "pairs": self.pairs,
-            "x_norms": self.x_norms,
-            "d": self.d,
-            "macro": self.macro,
-        }
-        if self.slots is not None:
-            obj["slots"] = self.slots
-        return obj

@@ -28,8 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (DivergenceError, ScenarioConfig, SlotState, TrajectoryRecord,
-                   init_state)
+from .core import DivergenceError, ScenarioConfig, SlotState, init_state
 from .feedback import control_step, evaluate
 from .goallaw import LawState, initial_law_state, step_law
 
@@ -88,45 +87,43 @@ def iterate(config: ScenarioConfig, law_state: LawState | None = None):
         yield sim
 
 
-def make_record(sim: SimState, macro: bool = False) -> TrajectoryRecord:
-    """Record the current state; raises DivergenceError on non-finite values."""
-    cfg = sim.config
+def make_record(sim: SimState, macro: bool = False) -> dict:
+    """The record of the current state: the JSON object its trajectory line
+    holds, with keys t, T, loss, pairs, x_norms, d and macro in that order,
+    and `slots` after them on snapshot steps and the last step.  Raises
+    DivergenceError on a non-finite loss or slot norm."""
+    cfg, t = sim.config, sim.t
     val = sim.evaluation[0]
     with np.errstate(over="ignore", invalid="ignore"):
         norms = [math.sqrt(s.dot(s)) for s in sim.sub.slots]
     if not math.isfinite(val) or not all(map(math.isfinite, norms)):
-        raise DivergenceError(
-            f"non-finite loss or slot norm at step {sim.t}", step=sim.t
-        )
-    snapshot = None
-    if (cfg.snapshot_every > 0 and sim.t % cfg.snapshot_every == 0) or (
-        sim.t == cfg.steps
-    ):
-        snapshot = [s.tolist() for s in sim.sub.slots]
-    return TrajectoryRecord(
-        t=sim.t,
-        T=sim.t // cfg.K,
-        loss=val,
-        pairs=sim.law.cpair.to_json(),
-        x_norms=norms,
-        d=sim.sub.probe.tolist(),
-        macro=macro,
-        slots=snapshot,
-    )
+        raise DivergenceError(f"non-finite loss or slot norm at step {t}", step=t)
+    rec = {
+        "t": t,
+        "T": t // cfg.K,
+        "loss": val,
+        "pairs": sim.law.cpair.to_json(),
+        "x_norms": norms,
+        "d": sim.sub.probe.tolist(),
+        "macro": macro,
+    }
+    if (cfg.snapshot_every > 0 and t % cfg.snapshot_every == 0) or t == cfg.steps:
+        rec["slots"] = [s.tolist() for s in sim.sub.slots]
+    return rec
 
 
 _COMPACT = json.JSONEncoder(separators=(",", ":"))
 
 
-def record_to_json_line(rec: TrajectoryRecord) -> str:
-    return _COMPACT.encode(rec.to_json_obj())
+def record_to_json_line(rec: dict) -> str:
+    return _COMPACT.encode(rec)
 
 
 def recorder(records: list, out=None):
     """A sink fed the states of one run in step order.  It records t = 0,
     every `log_every`-th and the last step, and each step the law fires
-    into (`macro`) or out of, appending to `records` and writing each JSON
-    line to the text file `out`, if given, at once."""
+    into (`macro`) or out of, appending each record to `records` and
+    writing its JSON line to the text file `out`, if given, at once."""
 
     def record(sim: SimState) -> None:
         cfg, t = sim.config, sim.t
@@ -143,10 +140,11 @@ def recorder(records: list, out=None):
 def run(config: ScenarioConfig, jsonl_path=None) -> tuple[list, SimState]:
     """Run `config.steps` micro-steps, returning (records, final SimState).
 
-    When `jsonl_path` is given, every record is written as soon as it is
-    made, so a diverging run still leaves the partial trajectory on disk.
+    The records are the JSON objects the trajectory lines hold.  When
+    `jsonl_path` is given, every record is written as soon as it is made,
+    so a diverging run still leaves the partial trajectory on disk.
     """
-    records: list[TrajectoryRecord] = []
+    records: list[dict] = []
     with open(jsonl_path, "w") if jsonl_path is not None else nullcontext() as out:
         record = recorder(records, out)
         for sim in iterate(config):
@@ -165,4 +163,4 @@ def write_summary_csv(records: list, path) -> None:
         w = csv.writer(fh)
         w.writerow(["t", "T", "loss", "pair_digest"])
         for rec in records:
-            w.writerow([rec.t, rec.T, repr(rec.loss), pair_digest(rec.pairs)])
+            w.writerow([rec["t"], rec["T"], repr(rec["loss"]), pair_digest(rec["pairs"])])

@@ -113,14 +113,14 @@ def test_criterion_03_flagship_descent_converges_fast():
     start = time.perf_counter()
     records, _ = run(config)
     elapsed = time.perf_counter() - start
-    by_t = {r.t: r for r in records}
-    final = by_t[5000].loss
+    by_t = {r["t"]: r for r in records}
+    final = by_t[5000]["loss"]
     assert final < 1e-8, final
     # non-increasing after the first few steps, up to additive roundoff
     # at the 1e-32 floor
     for t in range(10, 5000):
-        assert by_t[t + 1].loss <= by_t[t].loss + 1e-24, (
-            t, by_t[t].loss, by_t[t + 1].loss,
+        assert by_t[t + 1]["loss"] <= by_t[t]["loss"] + 1e-24, (
+            t, by_t[t]["loss"], by_t[t + 1]["loss"],
         )
     assert elapsed < 5.0, elapsed
 
@@ -129,12 +129,12 @@ def test_criterion_04_goal_switch_spikes_then_reconverges():
     config = config_from_json(goal_switch_obj())
     records, sim = run(config)
     assert sim.law.macro_count >= 3
-    by_t = {r.t: r for r in records}
+    by_t = {r["t"]: r for r in records}
     K = config.K
     for j in (1, 2, 3):
-        before = by_t[j * K].loss
-        after = by_t[j * K + 1].loss
-        settled = by_t[j * K + 2000].loss
+        before = by_t[j * K]["loss"]
+        after = by_t[j * K + 1]["loss"]
+        settled = by_t[j * K + 2000]["loss"]
         assert after > 10.0 * max(before, 1e-300), (j, before, after)
         assert settled < 1e-6, (j, settled)
         assert settled < after, (j, settled, after)

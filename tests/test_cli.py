@@ -312,6 +312,35 @@ def test_compare_rejects_malformed_record(tmp_path, capsys, bad_line):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("t", "NaN"), ("t", "1e999"), ("t", "[2]"), ("t", "-1"), ("t", "2.0"),
+    ("T", "true"), ("T", "1.0"), ("T", '"1"'),
+    ("pairs", '"[0,1] == [1,0]"'), ("pairs", '[["[0,1]"]]'),
+    ("pairs", '[["[0,1]", 1]]'), ("pairs", '[null]'),
+])
+def test_compare_rejects_bad_counters_or_pairs(tmp_path, capsys, field, value):
+    # the same bad line in both logs: it is not a record, so it is not
+    # compared either (line 3 holds t = 2, T = 1)
+    cfg = write_config(tmp_path, commute_obj(steps=5, K=2))
+    a, b = tmp_path / "a", tmp_path / "b"
+    main(["run", "--config", cfg, "--out", str(a)])
+    main(["run", "--config", cfg, "--out", str(b)])
+    for run_dir in (a, b):
+        path = run_dir / "trajectory.jsonl"
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        assert (rec["t"], rec["T"]) == (2, 1)
+        rec[field] = "BAD"
+        lines[2] = json.dumps(rec).replace('"BAD"', value)
+        path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["compare", str(a), str(b)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"config error: {a / 'trajectory.jsonl'}:3: {field}" in err
+    assert "Traceback" not in err
+
+
 def test_compare_slots_of_different_sizes(tmp_path, capsys):
     cfg = write_config(tmp_path, mlp_obj(steps=20))
     a, b = tmp_path / "a", tmp_path / "b"

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,6 @@ from goalchase.core import (
     MAX_PARAMS,
     ConfigError,
     ScenarioConfig,
-    TrajectoryRecord,
     config_from_json,
     config_from_json_str,
     init_state,
@@ -342,32 +339,3 @@ def test_init_state_resample_draws_probe():
     again = init_state(config)
     assert np.array_equal(state.probe, again.probe)
     assert np.array_equal(state.rng_words, again.rng_words)
-
-
-# --- trajectory records ----------------------------------------------------------
-
-
-def test_record_round_trip():
-    rec = TrajectoryRecord(
-        t=3,
-        T=1,
-        loss=0.5,
-        pairs=[["[0,1]", "[1,0]"]],
-        x_norms=[1.0, 2.0],
-        d=[1.0, 0.0],
-        macro=True,
-    )
-    obj = json.loads(json.dumps(rec.to_json_obj()))
-    assert list(obj) == [
-        "t", "T", "loss", "pairs", "x_norms", "d", "macro",
-    ]
-
-
-def test_record_snapshot_key_only_when_present():
-    rec = TrajectoryRecord(
-        t=0, T=0, loss=0.0, pairs=[], x_norms=[], d=[], slots=[[1.0]]
-    )
-    obj = rec.to_json_obj()
-    assert obj["slots"] == [[1.0]]
-    plain = TrajectoryRecord(t=0, T=0, loss=0.0, pairs=[], x_norms=[], d=[])
-    assert "slots" not in plain.to_json_obj()

@@ -21,7 +21,7 @@ def test_readme_config_example_runs():
     obj["steps"] = 5
     records, sim = run(config_from_json(obj))
     assert sim.t == 5
-    assert [r.t for r in records] == [0, 1, 2, 3, 4, 5]
+    assert [r["t"] for r in records] == [0, 1, 2, 3, 4, 5]
 
 
 def test_readme_cli_commands_parse():

@@ -30,41 +30,41 @@ def test_zero_steps_yields_single_record():
     records, sim = run(config)
     assert len(records) == 1
     rec = records[0]
-    assert rec.t == 0 and rec.T == 0 and rec.macro is False
-    assert rec.slots is not None  # final state snapshot
+    assert rec["t"] == 0 and rec["T"] == 0 and rec["macro"] is False
+    assert "slots" in rec  # final state snapshot
     assert sim.t == 0
 
 
 def test_macro_fires_once_for_three_steps_k2():
     config = config_from_json(commute_obj(steps=3, K=2))
     records, sim = run(config)
-    assert [r.t for r in records] == [0, 1, 2, 3]
-    assert [r.macro for r in records] == [False, False, False, True]
+    assert [r["t"] for r in records] == [0, 1, 2, 3]
+    assert [r["macro"] for r in records] == [False, False, False, True]
     assert sim.law.macro_count == 1
-    assert [r.T for r in records] == [0, 0, 1, 1]
+    assert [r["T"] for r in records] == [0, 0, 1, 1]
 
 
 def test_macro_events_bracketed_when_logging_is_sparse():
     config = config_from_json(commute_obj(steps=6, K=2, log_every=100))
     records, _ = run(config)
-    assert [r.t for r in records] == [0, 2, 3, 4, 5, 6]
-    assert [r.macro for r in records] == [False, False, True, False, True, False]
+    assert [r["t"] for r in records] == [0, 2, 3, 4, 5, 6]
+    assert [r["macro"] for r in records] == [False, False, True, False, True, False]
 
 
 def test_k1_records_every_step_even_with_sparse_logging():
     config = config_from_json(commute_obj(steps=5, K=1, log_every=100))
     records, sim = run(config)
-    assert [r.t for r in records] == [0, 1, 2, 3, 4, 5]
+    assert [r["t"] for r in records] == [0, 1, 2, 3, 4, 5]
     assert sim.law.macro_count == 4
-    assert [r.macro for r in records] == [False, False, True, True, True, True]
+    assert [r["macro"] for r in records] == [False, False, True, True, True, True]
 
 
 def test_t_strictly_increasing_with_macro_label():
     config = config_from_json(goal_switch_obj(steps=7, K=2))
     records, _ = run(config)
-    ts = [r.t for r in records]
+    ts = [r["t"] for r in records]
     assert ts == sorted(set(ts))
-    assert all(r.T == r.t // 2 for r in records)
+    assert all(r["T"] == r["t"] // 2 for r in records)
 
 
 def test_goal_rewrite_lands_before_the_post_event_record():
@@ -73,11 +73,11 @@ def test_goal_rewrite_lands_before_the_post_event_record():
     records, _ = run(config)
     first = obj["law"]["program"][0]
     second = obj["law"]["program"][1]
-    by_t = {r.t: r for r in records}
+    by_t = {r["t"]: r for r in records}
     for t in range(4):
-        assert by_t[t].pairs == first
-    assert by_t[4].pairs == second
-    assert by_t[4].macro is True
+        assert by_t[t]["pairs"] == first
+    assert by_t[4]["pairs"] == second
+    assert by_t[4]["macro"] is True
 
 
 def test_schedule_switch_changes_descent_target():
@@ -85,9 +85,9 @@ def test_schedule_switch_changes_descent_target():
     config = config_from_json(goal_switch_obj(steps=30, K=10))
     records, sim = run(config)
     assert sim.law.macro_count == 2  # events at pre-step counters 10 and 20
-    by_t = {r.t: r for r in records}
-    assert by_t[10].pairs != by_t[11].pairs
-    assert by_t[30].loss < by_t[21].loss
+    by_t = {r["t"]: r for r in records}
+    assert by_t[10]["pairs"] != by_t[11]["pairs"]
+    assert by_t[30]["loss"] < by_t[21]["loss"]
 
 
 def test_run_twice_produces_identical_lines():
@@ -131,20 +131,20 @@ def test_jsonl_flushed_before_divergence(tmp_path):
 def test_snapshots_at_interval_and_final_step():
     config = config_from_json(commute_obj(steps=10, snapshot_every=4))
     records, _ = run(config)
-    with_slots = [r.t for r in records if r.slots is not None]
+    with_slots = [r["t"] for r in records if "slots" in r]
     assert with_slots == [0, 4, 8, 10]
     final = records[-1]
-    for snap, norm in zip(final.slots, final.x_norms):
+    for snap, norm in zip(final["slots"], final["x_norms"]):
         assert abs(np.linalg.norm(snap) - norm) < 1e-12
 
 
 def test_resample_mode_walks_the_probe():
     config = config_from_json(resample_obj(steps=5))
     records, _ = run(config)
-    ds = [tuple(r.d) for r in records]
+    ds = [tuple(r["d"]) for r in records]
     assert len(set(ds)) == len(ds)
     again, _ = run(config)
-    assert [tuple(r.d) for r in again] == ds
+    assert [tuple(r["d"]) for r in again] == ds
 
 
 def records_from(config, law_state):
@@ -164,9 +164,9 @@ def test_law_state_override_replaces_initial_goals():
     )
     base_records, _ = run(config)
     alt_records = records_from(config, alt)
-    assert base_records[0].pairs == [["[0,1]", "[1,0]"]]
-    assert alt_records[0].pairs == [["[0,2]", "[2,0]"]]
-    assert alt_records[0].x_norms == base_records[0].x_norms
+    assert base_records[0]["pairs"] == [["[0,1]", "[1,0]"]]
+    assert alt_records[0]["pairs"] == [["[0,2]", "[2,0]"]]
+    assert alt_records[0]["x_norms"] == base_records[0]["x_norms"]
 
 
 def test_law_state_override_does_not_alias_caller_state():
@@ -184,13 +184,13 @@ def test_step_function_matches_run_records():
         sim = step(sim)
         manual.append(make_record(sim))
     records, _ = run(config)
-    by_t = {r.t: r for r in records}
+    by_t = {r["t"]: r for r in records}
     for rec in manual:  # macro flags aside, the streams must agree exactly
-        other = by_t[rec.t]
-        assert rec.loss == other.loss
-        assert rec.x_norms == other.x_norms
-        assert rec.d == other.d
-        assert rec.pairs == other.pairs
+        other = by_t[rec["t"]]
+        assert rec["loss"] == other["loss"]
+        assert rec["x_norms"] == other["x_norms"]
+        assert rec["d"] == other["d"]
+        assert rec["pairs"] == other["pairs"]
 
 
 def test_make_record_rejects_non_finite_state():
@@ -219,9 +219,9 @@ def test_summary_csv_round_trip(tmp_path):
     assert lines[0] == "t,T,loss,pair_digest"
     assert len(lines) == len(records) + 1
     first = lines[1].split(",")
-    assert int(first[0]) == records[0].t
-    assert float(first[2]) == records[0].loss
-    assert first[3] == pair_digest(records[0].pairs)
+    assert int(first[0]) == records[0]["t"]
+    assert float(first[2]) == records[0]["loss"]
+    assert first[3] == pair_digest(records[0]["pairs"])
 
 
 def test_divergence_raises_without_numpy_warnings():
@@ -258,8 +258,8 @@ def test_cached_evaluation_never_goes_stale():
     for sim in iterate(config):
         rec = make_record(sim)
         probes = config.probe_set(sim.sub)
-        assert rec.loss == loss(sim.law.cpair, config.slot_specs, sim.sub.slots,
-                                probes)
+        assert rec["loss"] == loss(sim.law.cpair, config.slot_specs, sim.sub.slots,
+                                   probes)
         assert all(np.array_equal(a, b) for a, b in zip(sim.sub.slots, sub.slots))
         if sim.t == config.steps:
             break
@@ -286,17 +286,32 @@ def test_run_writes_nothing_to_stdout_or_stderr(capfd, tmp_path, name, steps):
     assert capfd.readouterr() == ("", "")
 
 
+@pytest.mark.parametrize("path", sorted(DEMO_CONFIGS.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_run_returns_the_records_it_writes(tmp_path, path):
+    obj = json.loads(path.read_text())
+    obj.update(steps=12, K=4, log_every=3, snapshot_every=5)
+    out = tmp_path / "trajectory.jsonl"
+    records, _ = run(config_from_json(obj), out)
+    assert records == [json.loads(ln) for ln in out.read_text().splitlines()]
+    keys = ["t", "T", "loss", "pairs", "x_norms", "d", "macro"]
+    for rec in records:
+        snapshot = rec["t"] % 5 == 0 or rec["t"] == 12
+        assert list(rec) == keys + ["slots"] * snapshot
+    assert [r["t"] for r in records if "slots" in r] == [0, 5, 12]
+    assert any(r["macro"] for r in records)
+
+
 # --- records: each one-call form against the form it replaced -----------------
 
 
 def test_record_lines_equal_json_dumps():
     config = config_from_json(commute_obj(steps=3, K=2, snapshot_every=2))
     records, _ = run(config)
-    assert {r.macro for r in records} == {False, True}
-    assert {r.slots is None for r in records} == {False, True}
+    assert {r["macro"] for r in records} == {False, True}
+    assert {"slots" in r for r in records} == {False, True}
     for rec in records:
-        assert record_to_json_line(rec) == json.dumps(rec.to_json_obj(),
-                                                      separators=(",", ":"))
+        assert record_to_json_line(rec) == json.dumps(rec, separators=(",", ":"))
 
 
 def _still_goals():
@@ -310,7 +325,7 @@ def test_x_norms_are_linalg_norm_bit_for_bit(scale):
     sim = new_sim(config_from_json(_still_goals()))
     gen = np.random.default_rng(7)
     sim.sub.params[:] = scale * gen.uniform(-1, 1, sim.sub.params.size)
-    norms = make_record(sim).x_norms
+    norms = make_record(sim)["x_norms"]
     assert [n.hex() for n in norms] == [float(np.linalg.norm(s)).hex()
                                         for s in sim.sub.slots]
 
