@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from goalchase.core import (
     init_state,
 )
 from goalchase.prng import new_words, rng_from_words, rng_to_words
+from goalchase.simulator import make_record, new_sim, record_to_json_line
 
 from scenarios import commute_obj, goal_switch_obj, resample_obj, walk_obj
 
@@ -339,3 +342,22 @@ def test_init_state_resample_draws_probe():
     again = init_state(config)
     assert np.array_equal(state.probe, again.probe)
     assert np.array_equal(state.rng_words, again.rng_words)
+
+
+def test_record_round_trip():
+    sim = new_sim(config_from_json(commute_obj(steps=3, K=1)))
+    rec = make_record(sim, macro=True)
+    obj = json.loads(record_to_json_line(rec))
+    assert obj == rec
+    assert list(obj) == [
+        "t", "T", "loss", "pairs", "x_norms", "d", "macro",
+    ]
+    assert obj["macro"] is True
+
+
+def test_record_snapshot_key_only_when_present():
+    snap = new_sim(config_from_json(commute_obj(steps=3, snapshot_every=2)))
+    obj = make_record(snap)
+    assert obj["slots"] == [s.tolist() for s in snap.sub.slots]
+    plain = new_sim(config_from_json(commute_obj(steps=3)))
+    assert "slots" not in make_record(plain)
