@@ -25,6 +25,7 @@ from .core import (ConfigError, DivergenceError, config_from_json, finite_float,
                    init_state, parse_pairs, require_int, require_pair_texts)
 from .goallaw import GRAMMAR_WALK, SCHEDULE, initial_law_state
 from .prng import new_words
+from .simulator import RECORD_FIELDS
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
@@ -147,11 +148,8 @@ def cmd_check(args) -> int:
     return EXIT_ANALYSIS if overall == "fail" else EXIT_OK
 
 
-# record fields compared within a tolerance, with their list nesting depth
-_NUMERIC_FIELDS = {"loss": 0, "x_norms": 1, "d": 1, "slots": 2}
-
-
 def _read_records(path: Path) -> list:
+    """A trajectory file's records, each checked against `RECORD_FIELDS`."""
     try:
         lines = path.read_text().splitlines()
     except OSError as e:
@@ -165,14 +163,24 @@ def _read_records(path: Path) -> list:
             rec = json.loads(ln)
         except json.JSONDecodeError as e:
             raise ConfigError(where, f"invalid JSON: {e.msg}") from e
-        if not isinstance(rec, dict) or not {"t", "T", "pairs"} <= rec.keys():
-            raise ConfigError(where, "record needs keys t, T and pairs")
-        for field in ("t", "T"):
-            require_int(rec, field, lo=0, path=f"{where}: {field}")
-        require_pair_texts(rec["pairs"], f"{where}: pairs")
-        for field, depth in _NUMERIC_FIELDS.items():
-            if field in rec and not _is_numeric(rec[field], depth):
-                raise ConfigError(where, f"{field}: expected finite numbers")
+        if not isinstance(rec, dict):
+            raise ConfigError(where, "expected a record object")
+        extra = next((key for key in rec if key not in RECORD_FIELDS), None)
+        if extra is not None:
+            raise ConfigError(f"{where}: {extra}", "not a record key")
+        for field, (kind, required) in RECORD_FIELDS.items():
+            at, value = f"{where}: {field}", rec.get(field)
+            if field not in rec:
+                if required:
+                    raise ConfigError(at, "missing required key")
+            elif kind == "count":
+                require_int(rec, field, lo=0, path=at)
+            elif kind == "pairs":
+                require_pair_texts(value, at)
+            elif kind == "flag" and not isinstance(value, bool):
+                raise ConfigError(at, f"expected true or false, got {value!r}")
+            elif isinstance(kind, int) and not _is_numeric(value, kind):
+                raise ConfigError(at, "expected finite numbers")
         out.append(rec)
     return out
 
@@ -189,17 +197,17 @@ def _differs(va, vb, tol: float) -> bool:
     return abs(va - vb) > tol
 
 
+# compare's order: counts (read as "t") and pairs, numbers within --tol, the flag
+_COMPARED = sorted(RECORD_FIELDS.items(),
+                   key=lambda f: (f[1][0] == "flag", isinstance(f[1][0], int)))
+
+
 def _records_differ(ra: dict, rb: dict, tol: float):
-    if ra["t"] != rb["t"] or ra["T"] != rb["T"]:
-        return "t"
-    if ra["pairs"] != rb["pairs"]:
-        return "pairs"
-    for field in _NUMERIC_FIELDS:
+    for field, (kind, _) in _COMPARED:
         va, vb = ra.get(field), rb.get(field)
-        if va is None and vb is None:
-            continue
-        if va is None or vb is None or _differs(va, vb, tol):
-            return field
+        if va != vb and (not isinstance(kind, int) or None in (va, vb)
+                         or _differs(va, vb, tol)):
+            return "t" if kind == "count" else field
     return None
 
 

@@ -199,9 +199,6 @@ def _mutate(gen, pair, kind, arities):
 
 
 def _split_head(seq: tuple, arities) -> tuple:
-    # the head factor spans its bound tuple when the leading slot is binary
-    first = seq[0]
-    span = 1
-    if isinstance(first, int) and 0 <= first < len(arities) and arities[first] == 2:
-        span = 2
+    # the head spans its bound tuple when the leading slot, a parsed index, is binary
+    span = 2 if arities[seq[0]] == 2 else 1
     return seq[:span], seq[span:]

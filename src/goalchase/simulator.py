@@ -32,7 +32,7 @@ from .core import DivergenceError, ScenarioConfig, SlotState, init_state
 from .feedback import control_step, evaluate
 from .goallaw import LawState, initial_law_state, step_law
 
-__all__ = ["SimState", "new_sim", "step", "iterate", "recorder", "run",
+__all__ = ["SimState", "new_sim", "step", "iterate", "recorder", "run", "RECORD_FIELDS",
            "make_record", "record_to_json_line", "write_summary_csv", "pair_digest"]
 
 
@@ -87,11 +87,18 @@ def iterate(config: ScenarioConfig, law_state: LawState | None = None):
         yield sim
 
 
+# A record's fields in line order, name: (kind, required).  A kind is "count"
+# (an int >= 0), "pairs" (goal texts), "flag" (a bool) or a depth of finite numbers.
+RECORD_FIELDS = {"t": ("count", True), "T": ("count", True), "loss": (0, True),
+                 "pairs": ("pairs", True), "x_norms": (1, True), "d": (1, True),
+                 "macro": ("flag", True), "slots": (2, False)}
+
+
 def make_record(sim: SimState, macro: bool = False) -> dict:
     """The record of the current state: the JSON object its trajectory line
-    holds, with keys t, T, loss, pairs, x_norms, d and macro in that order,
-    and `slots` after them on snapshot steps and the last step.  Raises
-    DivergenceError on a non-finite loss or slot norm."""
+    holds, with the fields of `RECORD_FIELDS` in its order, `slots` only on
+    snapshot steps and the last step.  Raises DivergenceError on a
+    non-finite loss or slot norm."""
     cfg, t = sim.config, sim.t
     val = sim.evaluation[0]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -283,6 +283,10 @@ def test_compare_flags_length_mismatch(tmp_path, capsys):
     )
 
 
+# a record line with every required key but macro
+_UNFLAGGED = '{"t": 2, "T": 0, "loss": 0.5, "pairs": [], "x_norms": [1.0], "d": [1.0]'
+
+
 @pytest.mark.parametrize("bad_line", [
     "not json",
     '{"t": 1, "T": 0}',
@@ -295,6 +299,10 @@ def test_compare_flags_length_mismatch(tmp_path, capsys):
     '{"t": 2, "T": 0, "pairs": [], "loss": NaN}',
     '{"t": 2, "T": 0, "pairs": [], "loss": Infinity}',
     '{"t": 2, "T": 0, "pairs": [], "loss": ' + "9" * 400 + "}",
+    _UNFLAGGED + ', "macro": false, "extra": 1}',
+    _UNFLAGGED + "}",
+    _UNFLAGGED + ', "macro": "yes"}',
+    _UNFLAGGED + ', "macro": 1}',
 ])
 def test_compare_rejects_malformed_record(tmp_path, capsys, bad_line):
     cfg = write_config(tmp_path, commute_obj(steps=5))

@@ -11,6 +11,7 @@ from goalchase.expr import EquationPairList
 from goalchase.feedback import control_step, loss, loss_gradients
 from goalchase.goallaw import LawState, initial_law_state, step_law
 from goalchase.simulator import (
+    RECORD_FIELDS,
     iterate,
     make_record,
     new_sim,
@@ -295,6 +296,8 @@ def test_run_returns_the_records_it_writes(tmp_path, path):
     records, _ = run(config_from_json(obj), out)
     assert records == [json.loads(ln) for ln in out.read_text().splitlines()]
     keys = ["t", "T", "loss", "pairs", "x_norms", "d", "macro"]
+    assert list(RECORD_FIELDS) == keys + ["slots"]
+    assert [f for f, (_, required) in RECORD_FIELDS.items() if not required] == ["slots"]
     for rec in records:
         snapshot = rec["t"] % 5 == 0 or rec["t"] == 12
         assert list(rec) == keys + ["slots"] * snapshot
