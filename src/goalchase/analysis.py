@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bridge import MLP1H, BridgeFamily, ShapeError, eval_bridge
-from .core import ConfigError, ScenarioConfig, SlotState, init_state
+from .core import ConfigError, DivergenceError, ScenarioConfig, SlotState, init_state
 from .expr import EquationPairList
 from .feedback import control_step, loss, loss_gradients
 from .goallaw import IDENTITY_LAW, LawState
@@ -63,16 +63,16 @@ def reduction_check(config: ScenarioConfig) -> dict:
     first_dev = None
     states = simulator.iterate(config)
     next(states)  # t = 0: both sides start from init_state(config)
-    for sim in states:
-        probes = config.probe_set(reduced)
-        grads = loss_gradients(cpair, config.slot_specs, reduced.slots, probes)
-        reduced = control_step(reduced, grads, probes, config.eta, config.mu,
-                               config.drift, config.probe_mode)
-        dev = _state_deviation(sim.sub, reduced)
-        if dev > max_dev:
-            max_dev = dev
-        if dev != 0.0 and first_dev is None:
-            first_dev = sim.t
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sim in states:
+            probes = config.probe_set(reduced)
+            grads = loss_gradients(cpair, config.slot_specs, reduced.slots, probes)
+            reduced = control_step(reduced, grads, probes, config.eta, config.mu,
+                                   config.drift, config.probe_mode)
+            dev = _state_deviation(sim.sub, reduced)
+            max_dev = max(max_dev, dev)
+            if dev != 0.0 and first_dev is None:
+                first_dev = sim.t
     return {
         "check": "reduction",
         "verdict": "pass" if max_dev == 0.0 else "fail",
@@ -101,13 +101,14 @@ def divergence_witness(
     first = None
     dev = 0.0
     runs = zip(simulator.iterate(config), simulator.iterate(config, alt_law_state))
-    for sim_a, sim_b in runs:
-        if sinks is not None:
-            sinks[0](sim_a)
-            sinks[1](sim_b)
-        dev = _max_abs_deviation([sim_a.sub.params], [sim_b.sub.params])
-        if first is None and dev > 1e-12:
-            first = sim_a.t
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sim_a, sim_b in runs:
+            if sinks is not None:
+                sinks[0](sim_a)
+                sinks[1](sim_b)
+            dev = _max_abs_deviation([sim_a.sub.params], [sim_b.sub.params])
+            if first is None and dev > 1e-12:
+                first = sim_a.t
     found = first is not None and dev > threshold
     report = {
         "check": "divergence_witness",
@@ -154,8 +155,8 @@ def permutation_witness(
     params = _checked(family, params)
     m, h = family.m, family.hidden
     permuted = params.copy()
-    W1, b1, W2, _, _ = family.blocks(params)
-    pW1, pb1, pW2, _, _ = family.blocks(permuted)
+    W1, b1, W2, _ = family.bind(params)
+    pW1, pb1, pW2, _ = family.bind(permuted)
     pW1[:] = W1[perm, :]
     pb1[:] = b1[perm]
     pW2[:] = W2[:, perm]
@@ -194,7 +195,7 @@ def pad_witness(family: BridgeFamily, params) -> dict:
         }
     gen = np.random.Generator(np.random.PCG64(0))
     other = params.copy()
-    family.blocks(other)[-1][:] = gen.uniform(-10.0, 10.0, size=family.pad)
+    other[-family.pad:] = gen.uniform(-10.0, 10.0, size=family.pad)
     inputs = [[gen.uniform(-1.0, 1.0, size=family.m) for _ in range(family.arity)]
               for _ in range(_N_PROBES)]
     dev = _max_abs_deviation([eval_bridge(family, params, a) for a in inputs],
@@ -249,32 +250,33 @@ def grad_check(
     Draws seeded random (slots, goals, probe) triples shaped like the
     scenario and reports the worst per-entry relative error; entries where
     both gradients are below 1e-6 in magnitude are compared absolutely.
+    Raises DivergenceError where a step of `fd_step` overflows the loss.
     """
     gen = np.random.Generator(np.random.PCG64(seed))
     arities = config.arities
     fams = config.slot_specs
     worst = 0.0
-    for _ in range(n_samples):
-        slots = [
-            gen.uniform(-0.5, 0.5, size=f.param_count) for f in fams
-        ]
-        cpair = _random_pairs(gen, arities)
-        probes = [gen.uniform(-1.0, 1.0, size=config.m)]
-        analytic = loss_gradients(cpair, fams, slots, probes)
-        for i, fam in enumerate(fams):
-            for j in range(fam.param_count):
-                orig = slots[i][j]
-                slots[i][j] = orig + fd_step
-                hi = loss(cpair, fams, slots, probes)
-                slots[i][j] = orig - fd_step
-                lo = loss(cpair, fams, slots, probes)
-                slots[i][j] = orig
-                fd = (hi - lo) / (2.0 * fd_step)
-                a = analytic[i][j]
-                denom = max(abs(a), abs(fd))
-                err = abs(a - fd) if denom < 1e-6 else abs(a - fd) / denom
-                if err > worst:
-                    worst = err
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_samples):
+            slots = [gen.uniform(-0.5, 0.5, size=f.param_count) for f in fams]
+            cpair = _random_pairs(gen, arities)
+            probes = [gen.uniform(-1.0, 1.0, size=config.m)]
+            analytic = loss_gradients(cpair, fams, slots, probes)
+            for i, fam in enumerate(fams):
+                for j in range(fam.param_count):
+                    orig = slots[i][j]
+                    slots[i][j] = orig + fd_step
+                    hi = loss(cpair, fams, slots, probes)
+                    slots[i][j] = orig - fd_step
+                    lo = loss(cpair, fams, slots, probes)
+                    slots[i][j] = orig
+                    fd = (hi - lo) / (2.0 * fd_step)
+                    if not np.isfinite(fd):
+                        raise DivergenceError(f"non-finite loss at fd_step {fd_step}")
+                    a = analytic[i][j]
+                    denom = max(abs(a), abs(fd))
+                    err = abs(a - fd) if denom < 1e-6 else abs(a - fd) / denom
+                    worst = max(worst, err)
     return {
         "check": "grad_check",
         "verdict": "pass" if worst < threshold else "fail",

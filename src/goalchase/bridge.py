@@ -12,11 +12,14 @@ cotangent, from one row builder for every family) and `grad_args` (its
 argument gradients) take arrays of shape (..., m) whose leading axes are a
 batch, a single vector being the unbatched case; every matrix-vector
 product is one `np.matvec`, so each row comes out bit for bit as it would
-alone.  `eval_bridge` can keep mlp1h's activation tanh(W1 u + b1) for the
-gradient kernels' `act`, and `grad_args` reads its `args` only to
-recompute a missing `act`.  They check nothing: `config_from_json`
-validates each slot's layout, and the witnesses in `analysis` raise
-`ShapeError` for a vector of the wrong length.
+alone.  Their `params` is a raw vector, bound on entry, or the operands
+`BridgeFamily.bind` made of it once per evaluation, each bias repeated to
+the batch's shape, so its add is elementwise, not a broadcast: the same
+bits at half the cost.  `eval_bridge` can keep mlp1h's activation
+tanh(W1 u + b1) for the gradient kernels' `act`, and `grad_args` reads its
+`args` only to recompute a missing `act`.  They check nothing:
+`config_from_json` validates each slot's layout, and the witnesses in
+`analysis` raise `ShapeError` for a vector of the wrong length.
 """
 
 from __future__ import annotations
@@ -88,7 +91,6 @@ class BridgeFamily:
             table.append((start, stop, shape if len(shape) == 2 else None))
             start = stop
         object.__setattr__(self, "_blocks", tuple(table))
-        object.__setattr__(self, "_last", (None, None))
 
     @property
     def arity(self) -> int:
@@ -98,15 +100,13 @@ class BridgeFamily:
     def param_count(self) -> int:
         return self._blocks[-1][1]
 
-    def blocks(self, params) -> tuple:
-        """Writable views of the blocks of `params`, in layout order, pad last."""
-        last = self._last  # (params, views) of the latest call
-        if last[0] is not params:
-            last = (params, tuple(params[i:j] if shape is None else
-                                  params[i:j].reshape(shape)
-                                  for i, j, shape in self._blocks))
-            object.__setattr__(self, "_last", last)
-        return last[1]
+    def bind(self, params, lead=None) -> tuple:
+        """The kernels' operands: the blocks of `params` in layout order, pad
+        left out, as writable views or, given a batch's leading shape `lead`,
+        with each bias a copy repeated to `lead` + its own shape."""
+        return tuple(params[i:j].reshape(shape) if shape else params[i:j] if lead is None
+                     else params[i:j][None].repeat(math.prod(lead), 0).reshape(lead + (j - i,))
+                     for i, j, shape in self._blocks[:-1])
 
     def to_json(self) -> dict:
         obj = {"kind": self.kind, "m": self.m}
@@ -127,15 +127,15 @@ class BridgeFamily:
 def eval_bridge(family: BridgeFamily, params, args, keep=False):
     """Apply the map encoded by `params` to the argument vectors.  With
     `keep`, return (value, act): mlp1h's hidden activation, else None."""
-    act = None
+    ops, act = params if type(params) is tuple else family.bind(params), None
     if family.kind == AFFINE1:
-        A, b, _ = family.blocks(params)
+        A, b = ops
         value = np.matvec(A, args[0]) + b
     elif family.kind == AFFINE2:
-        A, B, c, _ = family.blocks(params)
+        A, B, c = ops
         value = np.matvec(A, args[0]) + np.matvec(B, args[1]) + c
     else:
-        W1, b1, W2, b2, _ = family.blocks(params)
+        W1, b1, W2, b2 = ops
         act = np.tanh(np.matvec(W1, args[0]) + b1)
         value = np.matvec(W2, act) + b2
     return (value, act) if keep else value
@@ -167,19 +167,19 @@ def grad_bridge(family: BridgeFamily, params, args, cot, act=None) -> np.ndarray
 def grad_args(family: BridgeFamily, params, args, cot, act=None) -> list[np.ndarray]:
     """The gradients of `cot . eval_bridge` wrt each argument; `act` as
     for `grad_bridge`.  `args` is read only for mlp1h with `act` None."""
+    ops = params if type(params) is tuple else family.bind(params)
     if family.kind == AFFINE1:
-        return [np.matvec(family.blocks(params)[0].T, cot)]
+        return [np.matvec(ops[0].T, cot)]
     if family.kind == AFFINE2:
-        A, B, _, _ = family.blocks(params)
-        return [np.matvec(A.T, cot), np.matvec(B.T, cot)]
-    _, dz = _mlp1h_back(family, params, args, cot, act)
-    return [np.matvec(family.blocks(params)[0].T, dz)]
+        return [np.matvec(ops[0].T, cot), np.matvec(ops[1].T, cot)]
+    _, dz = _mlp1h_back(family, ops, args, cot, act)
+    return [np.matvec(ops[0].T, dz)]
 
 
 def _mlp1h_back(family: BridgeFamily, params, args, cot, act):
     """(act, dz): the hidden activation, computed when `act` is None, and
     the cotangent at its input."""
-    W1, b1, W2, _, _ = family.blocks(params)
+    W1, b1, W2, _ = params if type(params) is tuple else family.bind(params)
     if act is None:
         act = np.tanh(np.matvec(W1, args[0]) + b1)
     return act, np.matvec(W2.T, cot) * (1.0 - act * act)

@@ -62,7 +62,7 @@ def _load_config_obj(args) -> dict:
         obj = json.loads(path.read_text())
     except OSError as e:
         raise ConfigError(str(path), f"cannot read config: {e}") from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ConfigError(str(path), f"invalid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise ConfigError(str(path), "config must be a JSON object")
@@ -74,6 +74,8 @@ def _load_config_obj(args) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        except RecursionError as e:
+            raise ConfigError(key, f"invalid JSON: {e}") from e
         _set_path(obj, key, value)
     return obj
 
@@ -91,7 +93,8 @@ def _trajectory_out(out_dir: Path, records: list):
 
 def _run_into(config, out_dir: Path) -> list:
     records = []
-    with _trajectory_out(out_dir, records) as record:
+    with _trajectory_out(out_dir, records) as record, \
+            np.errstate(over="ignore", invalid="ignore"):
         (out_dir / "resolved_config.json").write_text(config.to_json_str())
         for sim in simulator.iterate(config):
             record(sim)
@@ -161,8 +164,8 @@ def _read_records(path: Path) -> list:
         where = f"{path}:{n}"
         try:
             rec = json.loads(ln)
-        except json.JSONDecodeError as e:
-            raise ConfigError(where, f"invalid JSON: {e.msg}") from e
+        except (json.JSONDecodeError, RecursionError) as e:
+            raise ConfigError(where, f"invalid JSON: {getattr(e, 'msg', e)}") from e
         if not isinstance(rec, dict):
             raise ConfigError(where, "expected a record object")
         extra = next((key for key in rec if key not in RECORD_FIELDS), None)
@@ -247,7 +250,7 @@ def cmd_witness(args) -> int:
     if args.alt_w:
         try:
             overrides = json.loads(args.alt_w)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise ConfigError("--alt-w", f"invalid JSON: {e}") from e
         if not isinstance(overrides, dict):
             raise ConfigError("--alt-w", "expected a JSON object")
@@ -289,7 +292,7 @@ def cmd_sweep(args) -> int:
         grid = json.loads(Path(args.grid).read_text())
     except OSError as e:
         raise ConfigError(args.grid, f"cannot read grid: {e}") from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ConfigError(args.grid, f"invalid JSON: {e}") from e
     if not isinstance(grid, list) or not all(isinstance(g, dict) for g in grid):
         raise ConfigError(args.grid, "grid must be a JSON list of objects")

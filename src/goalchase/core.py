@@ -379,7 +379,7 @@ def config_from_json(obj: dict) -> ScenarioConfig:
 def config_from_json_str(text: str) -> ScenarioConfig:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ConfigError("<json>", str(e)) from e
     return config_from_json(obj)
 

@@ -315,34 +315,38 @@ def _emit(tree, reg, ops, walk):
 
 
 def run_forward(tape: Tape, families, slots, probes) -> tuple:
-    """(value registers, kept activations) of `tape` at `probes`, an
-    array (..., m); op k keeps the `act` of its `eval_bridge` call."""
+    """(value registers, kept activations, operands) of `tape` at `probes`,
+    an array (..., m); op k keeps its `eval_bridge` call's `act`, and each
+    kernel call reads operands bound once per slot (`BridgeFamily.bind`)."""
+    lead, operands = probes.shape[:-1], [None] * len(slots)
+    for slot, _ in tape.rows:
+        operands[slot] = families[slot].bind(slots[slot], lead)
     values, acts = [probes], []
     for slot, args in tape.ops:
-        value, act = eval_bridge(families[slot], slots[slot],
+        value, act = eval_bridge(families[slot], operands[slot],
                                  [values[r] for r in args], True)
         values.append(value)
         acts.append(act)
-    return values, acts
+    return values, acts, operands
 
 
-def run_reverse(tape: Tape, families, slots, forward, seeds) -> list:
+def run_reverse(tape: Tape, families, forward, seeds) -> list:
     """The per-slot gradients of sum_k seeds[k] . tree_k, None for a slot
-    the tape does not use; `forward` is from `run_forward`.  A step hands
-    `grad_args` no arguments: it reads them only to recompute an mlp1h
-    `act`, and `run_forward` keeps every one.  One `grad_bridge` call per
-    slot gives the rows of its `tape.rows` plan, added probe-major, then in
-    plan order, from the first, + 0.0: the bits of a sum from +0.0."""
-    (values, acts), cots = forward, list(seeds)
-    grads = [None] * len(slots)
+    the tape does not use, from `forward`, `run_forward`'s output.  A step
+    hands `grad_args` no arguments: it reads them only to recompute an
+    mlp1h `act`, and `run_forward` keeps every one.  One `grad_bridge` call
+    per slot gives the rows of its `tape.rows` plan, added probe-major, then
+    in plan order, from the first, + 0.0: the bits of a sum from +0.0."""
+    (values, acts, operands), cots = forward, list(seeds)
+    grads = [None] * len(operands)
     for op, regs in tape.steps:
         if op is None:
             cots.append(sum((cots[r] for r in regs), 0.0))
         else:
             slot = tape.ops[op][0]
-            cots.extend(grad_args(families[slot], slots[slot], (), cots[regs], acts[op]))
+            cots.extend(grad_args(families[slot], operands[slot], (), cots[regs], acts[op]))
     for slot, (*args, cot, act) in tape.rows:
-        gp = grad_bridge(families[slot], slots[slot],
+        gp = grad_bridge(families[slot], operands[slot],
                          [np.array([values[r] for r in regs]) for regs in args],
                          np.array([cots[r] for r in cot]), None if acts[act[0]] is None
                          else np.array([acts[op] for op in act]))

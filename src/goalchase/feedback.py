@@ -4,10 +4,11 @@ For goal pair k the residual at probe d is er_k(d) = left_k(d) - right_k(d);
 the loss averages the squared residual norms over the probe set; `evaluate`
 gives it and its gradient from one run of the goals' tape, compiled once
 per goal list (`expr.compile_tape`) and cached without its trees for the
-64 lists used last; the tape's reverse pass visits each distinct op once,
-however often the goals repeat it.  A controller tick descends a given gradient with
-momentum and an optional parameter leak, then advances the probe: it
-never evaluates goals, and nothing here sees the law's state.
+64 lists used last; the forward pass binds each slot's operands once, its
+biases batch-shaped, and the reverse pass visits each distinct op once,
+however often the goals repeat it.  A controller tick descends a given
+gradient with momentum and an optional parameter leak, then advances the
+probe: it never evaluates goals, and nothing here sees the law's state.
 
 The loss takes one `np.vecdot(er_k, er_k)` per pair and adds its entries
 probe by probe, then pair by pair: the order, and the bits, of the loop
@@ -59,19 +60,17 @@ def evaluate(cpair: EquationPairList, families, slots, probes):
     the loss adds er_k(d) . er_k(d) probe by probe, then pair by pair.
     `gradients()` runs the tape in reverse, seeding 2 er_k(d) / P into the
     left tree and its negative into the right.  Overflow is left to the
-    caller to find as non-finite values, without numpy warnings."""
+    caller to find as non-finite values, in an `np.errstate` it holds for
+    a whole run, so that numpy does not warn of it."""
     batch, total = np.asarray(probes, dtype=float), 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        tape, forward, ers = _forward(cpair, families, slots, batch)
-        for row in zip(*[np.vecdot(er, er).tolist() for er in ers]):
-            for dot in row:
-                total += dot
+    tape, forward, ers = _forward(cpair, families, slots, batch)
+    for row in zip(*[np.vecdot(er, er).tolist() for er in ers]):
+        for dot in row:
+            total += dot
 
     def gradients() -> list:
         cots = [2.0 / len(batch) * er for er in ers]
-        with np.errstate(over="ignore", invalid="ignore"):
-            grads = run_reverse(tape, families, slots, forward,
-                                [s for c in cots for s in (c, -c)])
+        grads = run_reverse(tape, families, forward, [s for c in cots for s in (c, -c)])
         return [np.zeros_like(s) if g is None else g for s, g in zip(slots, grads)]
 
     return total / len(batch), gradients

@@ -8,7 +8,9 @@ Records are written every `log_every` steps plus immediately before and
 after every law event, and are strictly ordered by t with T = t // K.
 Each state is evaluated at most once, for its record and the step out of
 it; states are values, so never mutate a yielded state's flat `params`
-or its slots, which are views of them, in place.
+or its slots, which are views of them, in place.  `run` enters one
+`np.errstate` for the whole run, so no step pays for one and a diverging
+run raises DivergenceError without numpy warnings.
 
 A record's slot norms are `math.sqrt(s.dot(s))`, which is what
 `np.linalg.norm` computes for a real vector, and its JSON line comes
@@ -101,8 +103,7 @@ def make_record(sim: SimState, macro: bool = False) -> dict:
     non-finite loss or slot norm."""
     cfg, t = sim.config, sim.t
     val = sim.evaluation[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = [math.sqrt(s.dot(s)) for s in sim.sub.slots]
+    norms = [math.sqrt(s.dot(s)) for s in sim.sub.slots]
     if not math.isfinite(val) or not all(map(math.isfinite, norms)):
         raise DivergenceError(f"non-finite loss or slot norm at step {t}", step=t)
     rec = {
@@ -152,7 +153,8 @@ def run(config: ScenarioConfig, jsonl_path=None) -> tuple[list, SimState]:
     so a diverging run still leaves the partial trajectory on disk.
     """
     records: list[dict] = []
-    with open(jsonl_path, "w") if jsonl_path is not None else nullcontext() as out:
+    with open(jsonl_path, "w") if jsonl_path is not None else nullcontext() as out, \
+            np.errstate(over="ignore", invalid="ignore"):
         record = recorder(records, out)
         for sim in iterate(config):
             record(sim)

@@ -22,7 +22,7 @@ def tree_vjp(tree, families, slots, d, cot) -> tuple:
     vector `d`, from the tree's own tape; a slot it does not use gets zeros."""
     tape = compile_tape([tree])
     forward = run_forward(tape, families, slots, d)
-    grads = run_reverse(tape, families, slots, forward, [np.asarray(cot, dtype=float)])
+    grads = run_reverse(tape, families, forward, [np.asarray(cot, dtype=float)])
     return (forward[0][tape.outputs[0]],
             [np.zeros_like(s) if g is None else g for s, g in zip(slots, grads)])
 

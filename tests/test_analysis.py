@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,9 @@ from goalchase.analysis import (
     reduction_check,
 )
 from goalchase.bridge import AFFINE1, AFFINE2, MLP1H, BridgeFamily
-from goalchase.core import ConfigError, config_from_json
+from goalchase.core import ConfigError, DivergenceError, config_from_json
 from goalchase.expr import EquationPairList
-from goalchase.goallaw import LawState
+from goalchase.goallaw import LawState, initial_law_state
 
 from scenarios import commute_obj, goal_switch_obj, mlp_obj, resample_obj
 
@@ -178,3 +180,20 @@ def test_grad_check_flags_a_coarse_probe_step():
     config = config_from_json(mlp_obj())
     report = grad_check(config, n_samples=5, fd_step=0.5)
     assert report["verdict"] == "fail"
+
+
+# each caller of `iterate` or `evaluate` holds one errstate for its run: a
+# diverging run raises DivergenceError, and no numpy warning escapes it
+# (`simulator.run`'s case is in test_simulator.py)
+@pytest.mark.parametrize("call", [
+    lambda c: divergence_witness(c, initial_law_state(c.law)),
+    lambda c: reduction_check(c),
+    # a finite-difference step that overflows the loss
+    lambda c: grad_check(c, n_samples=2, fd_step=1e300),
+], ids=["divergence_witness", "reduction_check", "grad_check"])
+def test_a_diverging_run_raises_without_numpy_warnings(call):
+    config = config_from_json(commute_obj(steps=200, eta=1e9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError):
+            call(config)

@@ -252,23 +252,23 @@ def _pack(fam, *blocks):
 
 
 def _matmul_eval(fam, params, args):
-    blocks = fam.blocks(params)
+    blocks = fam.bind(params)
     if fam.kind == AFFINE1:
         return _mv(blocks[0], args[0]) + blocks[1], None
     if fam.kind == AFFINE2:
         return _mv(blocks[0], args[0]) + _mv(blocks[1], args[1]) + blocks[2], None
-    W1, b1, W2, b2, _ = blocks
+    W1, b1, W2, b2 = blocks
     act = np.tanh(_mv(W1, args[0]) + b1)
     return _mv(W2, act) + b2, act
 
 
 def _matmul_grads(fam, params, args, cot):
     """(parameter gradient, argument gradients) of cot . eval_bridge."""
-    blocks = fam.blocks(params)
+    blocks = fam.bind(params)
     if fam.kind != MLP1H:
         return (_pack(fam, *[_outer(cot, a) for a in args], cot),
                 [_mv(M.T, cot) for M in blocks[:fam.arity]])
-    W1, b1, W2, _, _ = blocks
+    W1, b1, W2, _ = blocks
     act = np.tanh(_mv(W1, args[0]) + b1)
     dz = _mv(W2.T, cot) * (1.0 - act * act)
     return _pack(fam, _outer(dz, args[0]), dz, _outer(cot, act), cot), [_mv(W1.T, dz)]
@@ -312,5 +312,38 @@ def test_kernels_match_the_matmul_form_byte_for_byte(kind, pad, m):
                 # with `act` at hand, grad_args needs no arguments
                 for g, want in zip(grad_args(fam, params, (), cot, act), gargs):
                     _same_bytes(g, want)
+            if batch:
+                _bound_operands_match(fam, params, args, cot, batch)
     assert signed_zeros > 0
+
+
+def _bound_operands_match(fam, params, args, cot, batch):
+    """The kernels on the operands bound for `batch`, biases repeated to
+    it, give the bytes of the raw vector, signed zeros included."""
+    ops = fam.bind(params, batch)
+    want, want_act = eval_bridge(fam, params, args, keep=True)
+    got, got_act = eval_bridge(fam, ops, args, keep=True)
+    _same_bytes(got, want)
+    if want_act is not None:
+        _same_bytes(got_act, want_act)
+    for kept in (None, want_act):
+        _same_bytes(grad_bridge(fam, ops, args, cot, kept),
+                    grad_bridge(fam, params, args, cot, kept))
+        for g, w in zip(grad_args(fam, ops, args, cot, kept),
+                        grad_args(fam, params, args, cot, kept)):
+            _same_bytes(g, w)
+
+
+def test_bound_biases_are_copies_repeated_to_the_batch():
+    fam = BridgeFamily(MLP1H, m=2, hidden=3, pad=1)
+    params = np.arange(fam.param_count, dtype=float)
+    W1, b1, W2, b2 = fam.bind(params, (2, 3))
+    assert b1.shape == (2, 3, 3) and b2.shape == (2, 3, 2)
+    assert (b1 == params[6:9]).all() and (b2 == params[15:17]).all()
+    assert np.shares_memory(W1, params) and np.shares_memory(W2, params)
+    assert not np.shares_memory(b1, params) and not np.shares_memory(b2, params)
+    # unbatched, every block is a writable view and the pad is left out
+    views = fam.bind(params)
+    assert [v.shape for v in views] == [(3, 2), (3,), (2, 3), (2,)]
+    assert all(np.shares_memory(v, params) for v in views)
 

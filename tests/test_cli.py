@@ -210,6 +210,15 @@ def test_numeric_divergence_exits_3(tmp_path, capsys):
     assert (out / "trajectory.jsonl").exists()
 
 
+@pytest.mark.parametrize("flags", [["--set", "eta=1e9"], ["--fd-step", "1e300"]])
+def test_check_on_a_diverging_scenario_exits_3(tmp_path, capsys, flags):
+    # eta diverges the reduction check, the step the finite differences;
+    # Tier-1's warning filters fail the test if a numpy warning escapes
+    cfg = write_config(tmp_path, commute_obj(steps=200))
+    assert main(["check", "--config", cfg, "--samples", "2"] + flags) == 3
+    assert capsys.readouterr().err.startswith("divergence: ")
+
+
 def test_check_passes_on_reducible_scenario(tmp_path, capsys):
     cfg = write_config(tmp_path, commute_obj(steps=100))
     rc = main(["check", "--config", cfg, "--samples", "5"])
@@ -639,3 +648,28 @@ def test_sweep_rejects_bad_grid(tmp_path, capsys):
     rc = main(["sweep", "--config", cfg, "--grid", str(grid_path),
                "--out", str(tmp_path / "out")])
     assert rc == 2
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("site", ["config", "set", "trajectory", "alt_w", "grid"])
+def test_json_nested_too_deep_to_parse_exits_2(tmp_path, capsys, site):
+    # in-process: a --set value this long is too long for an exec'd command line
+    cfg = write_config(tmp_path, commute_obj(steps=10))
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    (tmp_path / "run" / "trajectory.jsonl").parent.mkdir()
+    (tmp_path / "run" / "trajectory.jsonl").write_text(DEEP_JSON + "\n")
+    out = str(tmp_path / "out")
+    argv, where = {
+        "config": (["run", "--config", str(deep), "--out", out], str(deep)),
+        "set": (["run", "--config", cfg, "--set", "eta=" + DEEP_JSON, "--out", out], "eta"),
+        "trajectory": (["compare", str(tmp_path / "run"), str(tmp_path / "run")],
+                       f"{tmp_path / 'run' / 'trajectory.jsonl'}:1"),
+        "alt_w": (["witness", "--config", cfg, "--alt-w", DEEP_JSON], "--alt-w"),
+        "grid": (["sweep", "--config", cfg, "--grid", str(deep), "--out", out], str(deep)),
+    }[site]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {where}: invalid JSON: ") and "Traceback" not in err

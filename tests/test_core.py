@@ -262,6 +262,12 @@ def test_config_from_json_str_reports_parse_errors():
     assert e.value.key == "<json>"
 
 
+def test_config_from_json_str_reports_json_nested_too_deep_to_parse():
+    with pytest.raises(ConfigError) as e:
+        config_from_json_str("[" * 100_000 + "]" * 100_000)
+    assert e.value.key == "<json>"
+
+
 def test_arities_property():
     obj = commute_obj()
     obj["slots"].append({"kind": "affine2", "m": 2})

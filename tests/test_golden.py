@@ -6,8 +6,10 @@ gradient row in the order of the recursive per-occurrence oracle (`_vjp`
 in test_expr_oracle.py).  The grammar_walk run, its law firing every 10
 steps, reaches goals whose sides share ops, such as [0,1] = [1,0,1], so
 its tape sums an adjoint's contributions in a `(None, regs)` step, which
-the other runs never take.  A change that moves a digest changes the
-numbers these demos produce.
+the other runs never take.  The sixth digest is of a resample run, one
+probe per state, whose goals apply mlp1h and affine2 slots: every bias
+add there is of a (1, m) batch.  A change that moves a digest changes the
+numbers these runs produce.
 """
 
 import hashlib
@@ -37,15 +39,30 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(DIGESTS))
-def test_demo_trajectory_digest(name, tmp_path):
-    overrides, digest = DIGESTS[name]
+def trajectory_digest(name, overrides, out):
+    """sha256 of trajectory.jsonl after 200 steps of demo config `name`."""
     argv = ["run", "--config", str(CONFIGS / f"{name}.json"), "--set", "steps=200"]
     for item in overrides:
         argv += ["--set", item]
-    assert main(argv + ["--out", str(tmp_path)]) == 0
-    data = (tmp_path / "trajectory.jsonl").read_bytes()
-    assert hashlib.sha256(data).hexdigest() == digest
+    assert main(argv + ["--out", str(out)]) == 0
+    return hashlib.sha256((out / "trajectory.jsonl").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_demo_trajectory_digest(name, tmp_path):
+    overrides, digest = DIGESTS[name]
+    assert trajectory_digest(name, overrides, tmp_path) == digest
+
+
+MIXED_RESAMPLE = (
+    ('slots=[{"kind":"mlp1h","m":2,"hidden":3},{"kind":"affine2","m":2},'
+     '{"kind":"affine1","m":2}]', 'law.pairs=[["[0,1,(2,0)]","[1,(0,[2,0]),2]"]]'),
+    "7d46d541dce8bbb61b4991293ac732fe1063409d20a01b1d5a93efb7fe1d69e9")
+
+
+def test_mixed_family_resample_trajectory_digest(tmp_path):
+    overrides, digest = MIXED_RESAMPLE
+    assert trajectory_digest("resample", overrides, tmp_path) == digest
 
 
 def test_grammar_walk_run_reaches_a_summed_adjoint():

@@ -3,8 +3,9 @@
 Each module must use every name it imports (the package `__init__` only
 re-exports, so it is exempt), every `__all__` entry must exist, every
 public function must have a user, `simulator.iterate` is the one loop
-that calls `simulator.step`, `expr` alone decides how deep a goal side
-may be, and `prng` alone decides the layout of the PRNG words.
+that calls `simulator.step`, only the run-level callers enter an
+`np.errstate`, `expr` alone decides how deep a goal side may be, and
+`prng` alone decides the layout of the PRNG words.
 """
 
 import ast
@@ -92,6 +93,25 @@ def test_only_iterate_calls_step():
                   if isinstance(n, ast.FunctionDef) and n.name == "iterate"]
     inside = {f"simulator:{node.lineno}" for node in step_calls(iterate)}
     assert len(inside) == 1 and calls == inside, sorted(calls - inside)
+
+
+# the callers of `iterate` and `evaluate` that hold one errstate per run
+RUN_LEVEL = {("simulator", "run"), ("cli", "_run_into"), ("analysis", "divergence_witness"),
+             ("analysis", "reduction_check"), ("analysis", "grad_check")}
+
+
+def test_only_run_level_callers_enter_an_errstate():
+    # a per-step errstate costs a context switch per state; the kernels,
+    # the tape, the loss and make_record run inside their caller's
+    found = set()
+    for name in MODULES:
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        # the innermost function around each node: ast.walk visits outer first
+        owner = {id(node): fn.name for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        found |= {(name, owner.get(id(node), "<module>")) for node in ast.walk(tree)
+                  if "errstate" in (getattr(node, "attr", None), getattr(node, "id", None))}
+    assert found == RUN_LEVEL, sorted(found ^ RUN_LEVEL)
 
 
 def test_only_expr_names_the_depth_bound():

@@ -23,7 +23,7 @@ from goalchase.simulator import (
     write_summary_csv,
 )
 
-from scenarios import commute_obj, goal_switch_obj, resample_obj, walk_obj
+from scenarios import commute_obj, goal_switch_obj, mlp_obj, resample_obj, walk_obj
 
 
 def test_zero_steps_yields_single_record():
@@ -253,6 +253,20 @@ def test_each_state_is_evaluated_once(monkeypatch, obj, evaluations):
     assert len(calls) == 4 * evaluations
 
 
+THREE_FAMILIES = [{"kind": "affine1", "m": 2}, {"kind": "mlp1h", "m": 2, "hidden": 4},
+                  {"kind": "affine2", "m": 2}]
+
+
+@pytest.mark.parametrize("obj", [commute_obj(steps=20, log_every=1), mlp_obj(steps=20),
+                                 walk_obj(steps=60, K=5, slots=THREE_FAMILIES)])
+def test_a_run_leaves_every_slot_family_as_it_was(obj):
+    # a family is a value: the kernels keep no per-call state on it
+    config = config_from_json(obj)
+    before = [dict(vars(f)) for f in config.slot_specs]
+    run(config)
+    assert [vars(f) for f in config.slot_specs] == before
+
+
 def test_cached_evaluation_never_goes_stale():
     config = config_from_json(goal_switch_obj(steps=9, K=2, log_every=1))
     sub, law = init_state(config), initial_law_state(config.law)
@@ -336,7 +350,8 @@ def test_x_norms_are_linalg_norm_bit_for_bit(scale):
 def test_huge_slot_entries_diverge_without_runtime_warnings():
     sim = new_sim(config_from_json(_still_goals()))
     sim.sub.slots[1][:] = 1e200
-    with warnings.catch_warnings():
+    # the caller holds the errstate, once per run, as `run` does
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError):
             make_record(sim)
