@@ -65,10 +65,9 @@ def reduction_check(config: ScenarioConfig) -> dict:
     next(states)  # t = 0: both sides start from init_state(config)
     with np.errstate(over="ignore", invalid="ignore"):
         for sim in states:
-            probes = config.probe_set(reduced)
-            grads = loss_gradients(cpair, config.slot_specs, reduced.slots, probes)
-            reduced = control_step(reduced, grads, probes, config.eta, config.mu,
-                                   config.drift, config.probe_mode)
+            grads = loss_gradients(cpair, config.slot_specs, reduced.slots,
+                                   config.probe_set(reduced))
+            reduced = control_step(reduced, grads, config)
             dev = _state_deviation(sim.sub, reduced)
             max_dev = max(max_dev, dev)
             if dev != 0.0 and first_dev is None:

@@ -5,14 +5,16 @@ interpreted by a bridge family), the controller knobs, the rewrite law,
 and the run length.  Configurations serialize to JSON with the key set
 {m, slots, init_seed, eta, mu, drift, probe_mode, probes, K, law, steps,
 log_every, snapshot_every}; equal configurations always reproduce the
-same run byte for byte.
+same run byte for byte.  `config_from_json` is a config's one constructor
+and states each key's default.  The probe policy lives here alone: a
+config's `probe_set` and `advance_probe` decide every probe a state sees.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, pairwise
 
@@ -21,7 +23,7 @@ import numpy as np
 from .bridge import BridgeFamily
 from .expr import EquationPairList, GrammarError, parse_sequence, seq_to_text
 from .goallaw import GRAMMAR_WALK, IDENTITY_LAW, LAW_KINDS, SCHEDULE, LawSpec
-from .prng import rng_to_words
+from .prng import rng_from_words, rng_to_words
 
 FIXED_SET = "fixed_set"
 RESAMPLE = "resample"
@@ -35,9 +37,6 @@ _U64 = 1 << 64
 MAX_PARAMS = 100_000
 
 __all__ = [
-    "FIXED_SET",
-    "RESAMPLE",
-    "PROBE_MODES",
     "ConfigError",
     "DivergenceError",
     "SlotState",
@@ -87,7 +86,7 @@ class SlotState:
     bounds: tuple
     rng_words: tuple
     probe: np.ndarray
-    probe_cursor: int = 0
+    probe_cursor: int
 
     @cached_property
     def slots(self) -> list:
@@ -105,13 +104,13 @@ class ScenarioConfig:
     eta: float
     law: LawSpec
     steps: int
-    mu: float = 0.0
-    drift: float = 0.0
-    probe_mode: str = FIXED_SET
-    probes: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
-    K: int = 1
-    log_every: int = 1
-    snapshot_every: int = 0
+    mu: float
+    drift: float
+    probe_mode: str
+    probes: np.ndarray
+    K: int
+    log_every: int
+    snapshot_every: int
 
     @property
     def arities(self) -> tuple:
@@ -120,6 +119,18 @@ class ScenarioConfig:
     def probe_set(self, state: SlotState) -> np.ndarray:
         """The (P, m) probes the loss averages over at `state` (one if resampled)."""
         return self.probes if self.probe_mode == FIXED_SET else state.probe[None]
+
+    def advance_probe(self, words: tuple, cursor: int) -> tuple:
+        """(words, probe, cursor) of the probe after the one at `cursor`, -1
+        for the first.  A fixed set is cycled in turn and the PRNG words
+        kept; in resample mode the probe is drawn from the words, which
+        advance, and the cursor stays 0."""
+        if self.probe_mode == FIXED_SET:
+            cursor = (cursor + 1) % len(self.probes)
+            return words, self.probes[cursor].copy(), cursor
+        gen = rng_from_words(words)
+        probe = gen.uniform(-1.0, 1.0, size=self.m)
+        return rng_to_words(gen), probe, 0
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -389,13 +400,9 @@ def config_from_json_str(text: str) -> ScenarioConfig:
 
 def init_state(config: ScenarioConfig) -> SlotState:
     """Seeded initial state: slot entries uniform in [-0.5, 0.5], drawn in
-    slot order, zero momentum, probe taken from the probe set (or drawn)."""
+    slot order, zero momentum, and the first probe of `advance_probe`."""
     gen = np.random.Generator(np.random.PCG64(config.init_seed))
     bounds = tuple(accumulate([f.param_count for f in config.slot_specs], initial=0))
     params = gen.uniform(-0.5, 0.5, size=bounds[-1])
-    if config.probe_mode == FIXED_SET:
-        probe = config.probes[0].copy()
-    else:
-        probe = gen.uniform(-1.0, 1.0, size=config.m)
-    return SlotState(params, np.zeros(bounds[-1]), bounds, rng_to_words(gen), probe)
-
+    words, probe, cursor = config.advance_probe(rng_to_words(gen), -1)
+    return SlotState(params, np.zeros(bounds[-1]), bounds, words, probe, cursor)

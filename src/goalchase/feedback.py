@@ -6,9 +6,10 @@ gives it and its gradient from one run of the goals' tape, compiled once
 per goal list (`expr.compile_tape`) and cached without its trees for the
 64 lists used last; the forward pass binds each slot's operands once, its
 biases batch-shaped, and the reverse pass visits each distinct op once,
-however often the goals repeat it.  A controller tick descends a given
-gradient with momentum and an optional parameter leak, then advances the
-probe: it never evaluates goals, and nothing here sees the law's state.
+however often the goals repeat it.  A controller tick reads its knobs from
+the config, descends a given gradient with momentum and an optional
+parameter leak, and takes the next probe from `ScenarioConfig.advance_probe`:
+it never evaluates goals, and nothing here sees the law's state.
 
 The loss takes one `np.vecdot(er_k, er_k)` per pair and adds its entries
 probe by probe, then pair by pair: the order, and the bits, of the loop
@@ -21,9 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import FIXED_SET, RESAMPLE, DivergenceError, SlotState
+from .core import DivergenceError, ScenarioConfig, SlotState
 from .expr import EquationPairList, Tape, compile_tape, run_forward, run_reverse
-from .prng import rng_from_words, rng_to_words
 
 __all__ = [
     "compile_pairs",
@@ -86,36 +86,18 @@ def loss_gradients(cpair: EquationPairList, families, slots, probes) -> list:
     return evaluate(cpair, families, slots, probes)[1]()
 
 
-def control_step(
-    state: SlotState,
-    grads: list,
-    probes,
-    eta: float,
-    mu: float = 0.0,
-    drift: float = 0.0,
-    probe_mode: str = FIXED_SET,
-) -> SlotState:
+def control_step(state: SlotState, grads: list, config: ScenarioConfig) -> SlotState:
     """One controller tick: momentum descent along `grads`, then probe advance.
 
-    v' = mu v + g;  params' = (1 - drift) params - eta v'.  In fixed_set mode
-    the probe advances cyclically through `probes` and the PRNG words carry
-    over as they are; in resample mode a fresh probe is drawn from them.
+    v' = mu v + g;  params' = (1 - drift) params - eta v', with eta, mu and
+    drift read from `config`; `config.advance_probe` gives the next probe.
     """
     g = np.concatenate(grads)
     finite = np.isfinite(g)
     if not finite.all():
         slot = np.searchsorted(state.bounds, np.argmin(finite), side="right") - 1
         raise DivergenceError(f"non-finite gradient in slot {slot}")
-    momentum = mu * state.momentum + g
-    params = (1.0 - drift) * state.params - eta * momentum
-    words, cursor = state.rng_words, 0
-    if probe_mode == FIXED_SET:
-        cursor = (state.probe_cursor + 1) % len(probes)
-        probe = probes[cursor].copy()
-    elif probe_mode == RESAMPLE:
-        gen = rng_from_words(words)
-        probe = gen.uniform(-1.0, 1.0, size=state.probe.shape[0])
-        words = rng_to_words(gen)
-    else:
-        raise ValueError(f"unknown probe_mode {probe_mode!r}")
+    momentum = config.mu * state.momentum + g
+    params = (1.0 - config.drift) * state.params - config.eta * momentum
+    words, probe, cursor = config.advance_probe(state.rng_words, state.probe_cursor)
     return SlotState(params, momentum, state.bounds, words, probe, cursor)

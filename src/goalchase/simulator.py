@@ -67,10 +67,7 @@ def step(sim: SimState) -> SimState:
     if _fires(sim.t, cfg.K):
         sim = SimState(cfg, sim.sub, step_law(cfg.law, sim.law), sim.t)
     try:
-        sub = control_step(
-            sim.sub, sim.evaluation[1](), cfg.probe_set(sim.sub),
-            cfg.eta, cfg.mu, cfg.drift, cfg.probe_mode,
-        )
+        sub = control_step(sim.sub, sim.evaluation[1](), cfg)
     except DivergenceError as e:
         raise DivergenceError(f"{e} at step {sim.t + 1}", step=sim.t + 1) from e
     return SimState(cfg, sub, sim.law, sim.t + 1)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -348,6 +349,29 @@ def test_init_state_resample_draws_probe():
     again = init_state(config)
     assert np.array_equal(state.probe, again.probe)
     assert np.array_equal(state.rng_words, again.rng_words)
+
+
+# sha256 of init_state's (params, momentum, probe, rng_words, probe_cursor)
+INIT_STATE_DIGESTS = {
+    ("fixed_set", 0): "3421f9623c1b38d0814e5ccd308145a1b03d1ce86270d34a7a84b56559389759",
+    ("fixed_set", 2**64 - 1):
+        "a04fc186d902d7f2cc2a5ebbdd3fe4d945bfaad76ce2860004c49895e5aeff94",
+    ("resample", 0): "954601a4a03daea13bfb479f6ab9a07051bb7250ea97d7d952ee7be1476b6b82",
+    ("resample", 2**64 - 1):
+        "18ddebc1b951a54db72a6fb31d096cf1e9578288fa7b0de84adebaa956d9d81c",
+}
+
+
+@pytest.mark.parametrize("mode, seed", sorted(INIT_STATE_DIGESTS))
+def test_init_state_digest(mode, seed):
+    # the first probe, cycled or drawn, comes from advance_probe at cursor -1
+    build = commute_obj if mode == "fixed_set" else resample_obj
+    state = init_state(config_from_json(build(init_seed=seed)))
+    h = hashlib.sha256()
+    for a in (state.params, state.momentum, state.probe):
+        h.update(a.tobytes())
+    h.update(repr((state.rng_words, state.probe_cursor)).encode())
+    assert h.hexdigest() == INIT_STATE_DIGESTS[mode, seed]
 
 
 def test_record_round_trip():

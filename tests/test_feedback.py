@@ -1,6 +1,7 @@
 import importlib
 import pkgutil
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -221,7 +222,7 @@ def test_control_step_zero_eta_keeps_slots():
     config, state, cpair = _control_setup()
     new = control_step(
         state, loss_gradients(cpair, config.slot_specs, state.slots, config.probes),
-        config.probes, eta=0.0,
+        replace(config, eta=0.0),
     )
     assert all(np.array_equal(a, b) for a, b in zip(new.slots, state.slots))
     assert new.probe_cursor == 1
@@ -232,7 +233,7 @@ def test_control_step_zero_loss_applies_drift_only():
     config, state, cpair = _control_setup()
     same = pairs_of(["[0,1]", "[0,1]"])
     grads = loss_gradients(same, config.slot_specs, state.slots, config.probes)
-    new = control_step(state, grads, config.probes, eta=0.05, drift=0.25)
+    new = control_step(state, grads, replace(config, eta=0.05, drift=0.25))
     for a, b in zip(new.slots, state.slots):
         assert np.array_equal(a, 0.75 * b)
 
@@ -241,10 +242,10 @@ def test_control_step_momentum_recurrence():
     config, state, cpair = _control_setup()
     eta, mu = 0.05, 0.9
     g0 = loss_gradients(cpair, config.slot_specs, state.slots, config.probes)
-    s1 = control_step(state, g0, config.probes, eta, mu)
+    knobs = replace(config, eta=eta, mu=mu)
+    s1 = control_step(state, g0, knobs)
     s2 = control_step(
-        s1, loss_gradients(cpair, config.slot_specs, s1.slots, config.probes),
-        config.probes, eta, mu,
+        s1, loss_gradients(cpair, config.slot_specs, s1.slots, config.probes), knobs,
     )
     v0 = np.split(state.momentum, state.bounds[1:-1])
     v1 = [mu * v + g for v, g in zip(v0, g0)]
@@ -262,7 +263,7 @@ def test_control_step_fixed_probe_cycle_and_private_words():
     cur = state
     for k in range(1, 6):
         grads = loss_gradients(cpair, config.slot_specs, cur.slots, config.probes)
-        cur = control_step(cur, grads, config.probes, 0.05)
+        cur = control_step(cur, grads, replace(config, eta=0.05))
         assert cur.probe_cursor == k % 4
         assert np.array_equal(cur.probe, config.probes[k % 4])
         # the words are an immutable value, carried over as they are
@@ -272,17 +273,15 @@ def test_control_step_fixed_probe_cycle_and_private_words():
 def test_control_step_resample_draws_and_advances_words():
     config, state, cpair = _control_setup()
     grads = loss_gradients(cpair, config.slot_specs, state.slots, [state.probe])
-    a = control_step(state, grads, [state.probe], 0.05, probe_mode="resample")
+    knobs = replace(config, eta=0.05, probe_mode="resample")
+    a = control_step(state, grads, knobs)
     # init_state is deterministic, so this is an equal, separate state
-    b = control_step(
-        init_state(config), grads, [state.probe], 0.05, probe_mode="resample"
-    )
+    b = control_step(init_state(config), grads, knobs)
     assert np.array_equal(a.probe, b.probe)
     assert not np.array_equal(a.rng_words, state.rng_words)
     assert np.all(np.abs(a.probe) <= 1.0)
     c = control_step(
-        a, loss_gradients(cpair, config.slot_specs, a.slots, [a.probe]),
-        [a.probe], 0.05, probe_mode="resample",
+        a, loss_gradients(cpair, config.slot_specs, a.slots, [a.probe]), knobs,
     )
     assert not np.array_equal(c.probe, a.probe)
 
@@ -291,7 +290,7 @@ def test_control_step_does_not_mutate_input():
     config, state, cpair = _control_setup()
     frozen = init_state(config)  # equal to state, and separate from it
     grads = loss_gradients(cpair, config.slot_specs, state.slots, config.probes)
-    control_step(state, grads, config.probes, 0.05, 0.5)
+    control_step(state, grads, replace(config, eta=0.05, mu=0.5))
     assert all(np.array_equal(a, b) for a, b in zip(state.slots, frozen.slots))
     assert all(
         np.array_equal(a, b) for a, b in zip(state.momentum, frozen.momentum)
@@ -303,7 +302,7 @@ def test_control_step_does_not_mutate_input():
 def test_control_step_result_shares_no_memory_with_its_input():
     config, state, cpair = _control_setup()
     grads = loss_gradients(cpair, config.slot_specs, state.slots, config.probes)
-    new = control_step(state, grads, config.probes, 0.05, 0.5)
+    new = control_step(state, grads, replace(config, eta=0.05, mu=0.5))
     old = [state.params, state.momentum, *state.slots]
     for a in (new.params, new.momentum, *new.slots):
         assert not any(np.shares_memory(a, b) for b in old + list(grads))
@@ -318,7 +317,7 @@ def test_non_finite_gradient_names_the_first_bad_slot():
         flat[bad] = np.inf
         grads = np.split(flat, [6])
         with pytest.raises(DivergenceError, match=f"in slot {slot}$"):
-            control_step(state, grads, config.probes, 0.05)
+            control_step(state, grads, replace(config, eta=0.05))
 
 
 def test_descent_reduces_loss():
@@ -327,7 +326,7 @@ def test_descent_reduces_loss():
     cur = state
     for _ in range(200):
         grads = loss_gradients(cpair, config.slot_specs, cur.slots, config.probes)
-        cur = control_step(cur, grads, config.probes, 0.05)
+        cur = control_step(cur, grads, replace(config, eta=0.05))
     end = loss(cpair, config.slot_specs, cur.slots, config.probes)
     assert end < start * 0.1
 
@@ -339,7 +338,7 @@ def test_non_finite_gradient_raises():
     # the caller of loss_gradients holds the errstate, as a run does
     with pytest.raises(DivergenceError) as e, np.errstate(over="ignore", invalid="ignore"):
         grads = loss_gradients(bad, config.slot_specs, state.slots, config.probes)
-        control_step(state, grads, config.probes, 0.05)
+        control_step(state, grads, replace(config, eta=0.05))
     assert "slot 0" in str(e.value)
 
 
@@ -407,7 +406,7 @@ def test_config_probes_are_one_array_and_steps_copy_a_row():
     config, state, cpair = _control_setup()
     assert config.probes.shape == (4, 2) and config.probes.dtype == float
     grads = loss_gradients(cpair, config.slot_specs, state.slots, config.probes)
-    new = control_step(state, grads, config.probes, eta=0.05)
+    new = control_step(state, grads, replace(config, eta=0.05))
     assert not np.shares_memory(new.probe, config.probes)
     resample = config_from_json(resample_obj())
     assert resample.probes.shape == (0, 2)

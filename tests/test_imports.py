@@ -4,8 +4,9 @@ Each module must use every name it imports (the package `__init__` only
 re-exports, so it is exempt), every `__all__` entry must exist, every
 public function must have a user, `simulator.iterate` is the one loop
 that calls `simulator.step`, only the run-level callers enter an
-`np.errstate`, `expr` alone decides how deep a goal side may be, and
-`prng` alone decides the layout of the PRNG words.
+`np.errstate`, `expr` alone decides how deep a goal side may be,
+`prng` alone decides the layout of the PRNG words, and `core` alone
+decides the probe policy.
 """
 
 import ast
@@ -151,3 +152,21 @@ def test_only_prng_looks_inside_the_words():
             if _names_words(words):
                 inside.append(f"{name}: {ast.unparse(node)}")
     assert not inside, inside
+
+
+# what only `core` may name: the probe modes, as constants or as text
+PROBE_POLICY = {"FIXED_SET", "RESAMPLE", "probe_mode", "fixed_set", "resample"}
+
+
+def test_only_core_decides_the_probe_policy():
+    # a config's `probe_set` and `advance_probe` pick every probe; elsewhere
+    # the probes are asked of the config, never chosen by mode
+    found = []
+    for name in (m for m in MODULES + ["__init__"] if m != "core"):
+        for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())):
+            named = {getattr(node, attr, None) for attr in ("id", "attr", "arg", "name")}
+            if isinstance(node, ast.Constant):
+                named.add(node.value)
+            if named & PROBE_POLICY:
+                found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    assert not found, found

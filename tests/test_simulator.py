@@ -282,8 +282,7 @@ def test_cached_evaluation_never_goes_stale():
             law = step_law(config.law, law)
         probes = config.probe_set(sub)
         grads = loss_gradients(law.cpair, config.slot_specs, sub.slots, probes)
-        sub = control_step(sub, grads, probes, config.eta, config.mu,
-                           config.drift, config.probe_mode)
+        sub = control_step(sub, grads, config)
     assert sim.t == 9 and sim.law.macro_count == law.macro_count == 4
 
 
